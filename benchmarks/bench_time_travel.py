@@ -1,4 +1,4 @@
-"""Ranked time travel: replayed horizons vs the batch ``_agg@h`` rebuild.
+"""Ranked time travel: replayed horizons vs the batch rebuild at ``h``.
 
 The serving claim behind the aggregate view's per-height delta log: a
 historical ranked or rolled-up cluster question (``top_clusters``,
@@ -8,11 +8,12 @@ analyst scrubbing across the chain's history pays O(spine gap + churn at
 ``h``) per horizon — not a full partition materialization, balance
 re-sum, and re-ranking at every height touched.
 
-Both services run the same mixed historical workload (uniformly random
-horizons over the whole chain, several kinds per horizon) over the same
-prebuilt 600-block world; the baseline is ``time_travel=False``, which
-keeps the differential tip view but drops the delta log, forcing every
-historical horizon onto the batch ``_agg@h`` rebuild.  Every answer is
+The service and the baseline run the same mixed historical workload
+(uniformly random horizons over the whole chain, several kinds per
+horizon) over the same prebuilt 600-block world; the baseline is the
+batch oracle (``tests/batch_oracle.py``), which rebuilds every
+whole-partition aggregate as of each horizon once and shares it across
+that horizon's queries.  Every answer is
 cross-checked equal, so the speedup is not bought with different
 answers.  GC is disabled inside the timed regions so collector pauses
 are not misattributed.
@@ -24,6 +25,8 @@ import time
 
 from repro.service import ForensicsService, Query
 from repro.service.queries import TOP_CLUSTER_METRICS
+
+from tests.batch_oracle import BatchOracle
 
 N_HEIGHTS = 80
 SPEEDUP_BOUND = 10.0
@@ -55,7 +58,7 @@ def _historical_workload(world, n_heights: int) -> list[Query]:
     return queries
 
 
-def _timed_pass(service: ForensicsService, queries: list[Query]):
+def _timed_pass(service, queries: list[Query]):
     gc.collect()
     gc.disable()
     try:
@@ -72,7 +75,7 @@ def test_time_travel_beats_batch_rebuild_10x(bench_default_world, bench_report):
     queries = _historical_workload(world, N_HEIGHTS)
 
     fast = ForensicsService.from_world(world)
-    base = ForensicsService.from_world(world, time_travel=False)
+    base = BatchOracle.of(ForensicsService.from_world(world))
     assert fast.aggregates.covers(0)
     # Materialize the checkpoint spine once, untimed: the first horizon
     # past the spine's frontier pays a one-time walk that stores every

@@ -18,15 +18,9 @@ heights*, not by mutating the index.
 Observer fan-out runs on a **shared per-block ingest plan**: after each
 ``add_block`` the index builds one :class:`~repro.chain.delta.BlockDelta`
 (one transaction walk, id-space, see ``chain/delta.py``) and hands that
-single object to every subscriber.  :meth:`ChainIndex.subscribe_deltas`
-is the native hook; :meth:`ChainIndex.subscribe` remains as a
-**compatibility shim** for block-shaped observers (``SnapshotPolicy``,
-external consumers) — it adapts the callback to receive
-``delta.block``.  Deprecation path: the shim stays until every known
-consumer is delta-shaped; new streaming consumers should subscribe to
-deltas directly (folding from the delta's flat arrays is both the fast
-path and the one the equivalence property suites pin), after which
-``subscribe`` will be reduced to a thin alias and eventually warn.
+single object to every subscriber through
+:meth:`ChainIndex.subscribe_deltas`; a consumer that only needs
+block-level facts reads ``delta.block``.
 
 Durability: :meth:`ChainIndex.export_state` flattens the whole index
 into plain picklable data (raw block bytes, tuple-keyed maps, per-record
@@ -170,9 +164,7 @@ class ChainIndex:
         self._input_spends: dict[bytes, tuple[tuple[int, int], ...]] = {}
         self._observers: list[tuple[Callable[[BlockDelta], None], str]] = []
         """``(observer, name)`` pairs in registration order.  Names key
-        the per-subscriber fan-out metrics; block-shaped callbacks
-        registered through the :meth:`subscribe` shim sit here wrapped
-        in an adapter."""
+        the per-subscriber fan-out metrics."""
         self.metrics = NULL_REGISTRY
         """Telemetry sink (:class:`~repro.obs.metrics.MetricsRegistry`).
         Defaults to the shared disabled registry — assign an enabled one
@@ -346,30 +338,6 @@ class ChainIndex:
                 self._observers.remove(entry)
 
         return unsubscribe
-
-    def subscribe(
-        self,
-        observer: Callable[[Block], None],
-        *,
-        name: str | None = None,
-    ) -> Callable[[], None]:
-        """Compatibility shim: register a *block*-shaped observer.
-
-        Equivalent to :meth:`subscribe_deltas` with the callback adapted
-        to receive ``delta.block`` — same registration-order slot, same
-        exactly-once and exception-isolation guarantees.  Kept for
-        consumers that only need block-level facts
-        (:class:`~repro.storage.store.SnapshotPolicy`, external code);
-        new streaming consumers should take the delta (see the module
-        docstring for the shim's deprecation path).
-        """
-        if name is None:
-            name = getattr(observer, "__qualname__", None) or repr(observer)
-
-        def adapter(delta: BlockDelta) -> None:
-            observer(delta.block)
-
-        return self.subscribe_deltas(adapter, name=name)
 
     def add_chain(self, blocks: Iterable[Block]) -> None:
         """Ingest a whole chain in order."""

@@ -93,14 +93,6 @@ class IntVector:
         vector._n = len(vector._data)
         return vector
 
-    @classmethod
-    def from_list(cls, values) -> "IntVector":
-        """Build a vector from any int sequence (legacy state shapes)."""
-        vector = cls.__new__(cls)
-        vector._data = np.asarray(list(values), dtype=_DTYPE)
-        vector._n = len(vector._data)
-        return vector
-
 
 def as_int64(values) -> np.ndarray:
     """A read-only little-endian int64 array of ``values``.

@@ -491,8 +491,6 @@ class IntUnionFind:
         parent/size/log columns dominate the engine and aggregate
         segments, and a flat-bytes export keeps snapshot cost one
         ``memcpy`` per column instead of a Python-object copy per id.
-        :meth:`from_state` also accepts the pre-bytes list shape, so
-        older snapshots stay restorable.
         """
         return {
             "parent": self._parent.tobytes(),
@@ -507,24 +505,24 @@ class IntUnionFind:
     def from_state(cls, state: dict) -> "IntUnionFind":
         """Rebuild a structure from :meth:`export_state` output.
 
-        Accepts both the columnar bytes shape and the legacy list shape
-        (pre-kernel snapshots), detected by the payload type.
+        Only the columnar bytes shape is accepted; the pre-kernel list
+        shape fails closed.
         """
-        uf = cls()
         parent = state["parent"]
-        if isinstance(parent, bytes):
-            uf._parent = IntVector.from_bytes(parent)
-            uf._size = IntVector.from_bytes(state["size"])
-            uf._log = [
-                (absorbed, kept)
-                for absorbed, kept in np.frombuffer(state["log"], dtype="<i8")
-                .reshape(-1, 2)
-                .tolist()
-            ]
-        else:
-            uf._parent = IntVector.from_list(parent)
-            uf._size = IntVector.from_list(state["size"])
-            uf._log = [tuple(entry) for entry in state["log"]]
+        if not isinstance(parent, bytes):
+            raise ValueError(
+                "union-find state is not in the columnar bytes shape "
+                "(pre-kernel snapshot); rebuild cold"
+            )
+        uf = cls()
+        uf._parent = IntVector.from_bytes(parent)
+        uf._size = IntVector.from_bytes(state["size"])
+        uf._log = [
+            (absorbed, kept)
+            for absorbed, kept in np.frombuffer(state["log"], dtype="<i8")
+            .reshape(-1, 2)
+            .tolist()
+        ]
         uf._components = state["components"]
         if len(uf._parent) != len(uf._size):
             raise ValueError("union-find state parents/sizes misaligned")

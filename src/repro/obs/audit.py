@@ -164,11 +164,7 @@ class InvariantAuditor:
         # sets: every root the naming engine would re-resolve is also a
         # spot-check candidate here, without either drain starving the
         # other (see ClusterAggregateView.naming_cursor).
-        self._naming_cursor = (
-            service.aggregates.naming_cursor()
-            if service.aggregates is not None
-            else None
-        )
+        self._naming_cursor = service.aggregates.naming_cursor()
         self._unsubscribe = service.index.subscribe_deltas(
             self._observe_delta, name="auditor"
         )
@@ -314,17 +310,16 @@ class InvariantAuditor:
         engine_uf = self.service.engine._uf
         problems += self._partition_problems(engine_uf, "engine")
         view = self.service.aggregates
-        if view is not None:
-            view._flush()
-            uf = view._uf
-            n = len(uf)
-            if n:
-                roots = uf.find_many(np.arange(n, dtype="<i8"))
-                counts = np.bincount(roots, minlength=n)
-                problems += self._partition_problems(
-                    uf, "aggregates base", roots=roots, counts=counts
-                )
-                problems += self._min_member_problems(view, roots, counts)
+        view._flush()
+        uf = view._uf
+        n = len(uf)
+        if n:
+            roots = uf.find_many(np.arange(n, dtype="<i8"))
+            counts = np.bincount(roots, minlength=n)
+            problems += self._partition_problems(
+                uf, "aggregates base", roots=roots, counts=counts
+            )
+            problems += self._min_member_problems(view, roots, counts)
         return len(problems), "; ".join(problems)
 
     @staticmethod
@@ -440,8 +435,6 @@ class InvariantAuditor:
         rollup once and checks every cluster.
         """
         view = self.service.aggregates
-        if view is None:
-            return 0, "differential aggregates disabled"
         view._flush()
         dirty: list[int] = []
         if self._naming_cursor is not None:

@@ -107,7 +107,7 @@ class DoctorReport:
 
 def run_doctor(state_dir, *, log=NULL_LOGGER) -> DoctorReport:
     """Deep-verify one durable state directory (see module docstring)."""
-    from ..storage import StateStore
+    from ..storage import SnapshotIntegrityError, StateStore, read_manifest
     from .audit import InvariantAuditor
 
     state_dir = Path(state_dir)
@@ -123,7 +123,14 @@ def run_doctor(state_dir, *, log=NULL_LOGGER) -> DoctorReport:
     readable = {manifest.directory for manifest in manifests}
     for path in sorted(snapshots_root.glob("snap-*")):
         if path.is_dir() and path not in readable:
-            problems.append(f"{path.name}: unreadable or missing manifest")
+            # Name why (an old format version says which, and to
+            # rebuild cold).
+            try:
+                read_manifest(path)
+            except SnapshotIntegrityError as exc:
+                problems.append(
+                    f"{path.name}: unreadable or missing manifest ({exc})"
+                )
     if not manifests:
         problems.append(f"no restorable snapshots under {snapshots_root}")
         return report

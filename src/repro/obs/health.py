@@ -10,8 +10,8 @@
 * **engine** — must be at the chain tip; the open-label backlog (the
   overlay every differential consumer pays for) degrades health past a
   threshold;
-* **aggregates** — present and at the tip (absent = the batch-fallback
-  configuration = degraded), with the pending flush-queue depth;
+* **aggregates** — at the tip (behind = detached = failing), with the
+  pending flush-queue depth;
 * **views** — balances/activity/taint must all be at the tip;
 * **cache** — the height-keyed memo's hit ratio, graded only once it
   has seen enough lookups to mean anything;
@@ -170,32 +170,20 @@ def collect_health(
     )
 
     view = service.aggregates
-    if view is None:
-        components.append(
-            ComponentHealth(
-                component="aggregates",
-                status=DEGRADED,
-                summary=(
-                    "differential aggregates disabled; cluster queries "
-                    "use the batch fallback"
-                ),
-            )
+    pending = view.pending_blocks
+    behind = view.height != height
+    components.append(
+        ComponentHealth(
+            component="aggregates",
+            status=FAILING if behind else OK,
+            summary=(
+                f"view at height {view.height}, chain at {height}"
+                if behind
+                else f"at tip, {pending} block(s) queued for flush"
+            ),
+            details={"height": view.height, "pending_blocks": pending},
         )
-    else:
-        pending = view.pending_blocks
-        behind = view.height != height
-        components.append(
-            ComponentHealth(
-                component="aggregates",
-                status=FAILING if behind else OK,
-                summary=(
-                    f"view at height {view.height}, chain at {height}"
-                    if behind
-                    else f"at tip, {pending} block(s) queued for flush"
-                ),
-                details={"height": view.height, "pending_blocks": pending},
-            )
-        )
+    )
 
     view_heights = {
         "balances": service.balances.height,

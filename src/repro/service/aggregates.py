@@ -3,9 +3,9 @@
 Every ranked or rolled-up forensics answer — ``top_clusters``,
 ``cluster_profile``, ``cluster_balance`` — needs whole-partition
 aggregates: per-cluster balance, activity, size, and a per-metric
-ranking.  The batch path rebuilds those from a full pass over every
-address array on the first query after each block, so per-block serving
-cost grows with chain size.  :class:`ClusterAggregateView` instead
+ranking.  A batch rebuild redoes those from a full pass over every
+address array on the first query after each block, so its per-block
+serving cost grows with chain size.  :class:`ClusterAggregateView` instead
 folds each block's *deltas* as it streams:
 
 * per-address balance/activity churn arrives pre-flattened on the
@@ -40,8 +40,8 @@ member address id (ids are dense and first-sight ordered, so this is
 the cluster's earliest-seen address).  Canonical ids are a pure
 function of the partition — independent of union order, restore
 history, or batch-vs-differential construction — which is what lets
-the property suite demand byte-equality between this view and the
-batch ``_agg`` rebuild, and what makes ranking tie-breaks stable (see
+the property suites demand byte-equality between this view and an
+independent batch rebuild, and what makes ranking tie-breaks stable (see
 :class:`~repro.service.queries.ClusterRanking`).
 """
 
@@ -64,35 +64,23 @@ from .queries import ClusterRanking, TOP_CLUSTER_METRICS
 from .views import ClusterActivity, MaterializedView
 
 
-def _fold_array(state_value) -> IntVector:
-    """Restore one fold array from bytes (v2) or a list (v1 snapshots).
-
-    The live arrays are :class:`~repro.core.arrays.IntVector` buffers:
-    the merge folds index them scalar-by-scalar (item access returns
-    plain Python ints), while the kernelized churn fold scatters into
-    the backing numpy array directly."""
-    if isinstance(state_value, bytes):
-        return IntVector.from_bytes(state_value)
-    return IntVector.from_list(state_value)
-
-
 class RankIndex:
-    """One metric's live ranking: a sorted key list maintained by churn.
+    """One metric's ranking, kept in serving order.
 
-    Keys are ``(-value, cluster id)`` so ascending list order is the
-    serving order: best value first, ties broken by the smallest
-    canonical cluster id.  Updates cost O(log n) to locate plus a
-    C-level ``memmove``; reads are slices (:meth:`top`) or a bisect
-    (:meth:`rank_of`) — no per-block re-sort anywhere.
+    Keys are ``(-value, cluster id)`` so ascending order is the serving
+    order: best value first, ties broken by the smallest canonical
+    cluster id.  Reads are slices (:meth:`top`) or a point lookup
+    (:meth:`rank_of`) — no per-query re-sort anywhere.
 
-    Two backings share this interface.  The live tip view mutates, so
-    it carries the key list and value map.  A settled horizon state is
-    immutable and serves only a ``top(n)`` slice or a single-id
-    ``rank_of``, so :meth:`from_columns` keeps just the two lexsorted
-    numpy columns (``_neg``, ``_cid``) and never pays the
-    list-of-tuples / dict materialization; a point lookup is one
-    C-level equality scan.  Mutators materialize the list backing on
-    first touch, so the distinction never leaks.
+    Two backings share this interface.  A wholesale build
+    (:meth:`from_columns`, or an :meth:`apply` batch comparable to the
+    index itself — a cold build's first flush, a restore, a long tail
+    replay) keeps two lexsorted numpy columns (``_neg``, ``_cid``): one
+    lexsort and no per-entry Python objects; a point lookup is one
+    C-level equality scan.  The first *small* :meth:`apply` (per-block
+    churn at a live tip) materializes a sorted key list plus a value map,
+    which then absorb each update in O(log n) to locate plus a C-level
+    ``memmove``.
     """
 
     __slots__ = ("_keys", "_values", "_neg", "_cid")
@@ -102,6 +90,24 @@ class RankIndex:
         self._values: dict[int, int] = {}
         self._neg: np.ndarray | None = None
         self._cid: np.ndarray | None = None
+
+    @classmethod
+    def from_columns(cls, cluster_ids, values) -> "RankIndex":
+        """Build wholesale from parallel id/value numpy columns — one
+        lexsort, stored as the array backing (ids must be unique)."""
+        index = cls()
+        index._set_columns(cluster_ids, values)
+        return index
+
+    def _set_columns(self, cluster_ids, values) -> None:
+        """Replace the contents with the array backing, lexsorted."""
+        negs = np.negative(np.asarray(values, dtype="<i8"))
+        cids = np.asarray(cluster_ids, dtype="<i8")
+        order = np.lexsort((cids, negs))
+        self._neg = negs[order]
+        self._cid = cids[order]
+        self._keys = []
+        self._values = {}
 
     def _materialize(self) -> None:
         """Switch an array-backed index to the mutable list backing."""
@@ -126,65 +132,63 @@ class RankIndex:
             return len(self._neg)
         return len(self._keys)
 
-    def __contains__(self, cluster_id: int) -> bool:
-        if self._neg is not None:
-            return self._position_of(cluster_id) >= 0
-        return cluster_id in self._values
-
-    def value_of(self, cluster_id: int) -> int | None:
-        if self._neg is not None:
-            position = self._position_of(cluster_id)
-            return -int(self._neg[position]) if position >= 0 else None
-        return self._values.get(cluster_id)
-
-    def set(self, cluster_id: int, value: int) -> None:
-        """Insert or move one cluster's entry."""
-        self._materialize()
-        old = self._values.get(cluster_id)
-        if old == value:
-            return
-        if old is not None:
-            del self._keys[bisect_left(self._keys, (-old, cluster_id))]
-        insort(self._keys, (-value, cluster_id))
-        self._values[cluster_id] = value
-
-    def discard(self, cluster_id: int) -> None:
-        """Drop one cluster's entry (no-op when absent)."""
-        self._materialize()
-        old = self._values.pop(cluster_id, None)
-        if old is not None:
-            del self._keys[bisect_left(self._keys, (-old, cluster_id))]
-
     def apply(self, discards, updates) -> None:
-        """Bulk churn: drop ``discards`` ids, then upsert ``updates``
-        ``(cluster id, value)`` pairs.
+        """Churn: drop ``discards`` ids, then upsert ``updates``
+        ``(cluster id, value)`` pairs (ids unique within ``updates``).
 
-        Small batches walk the incremental :meth:`set`/:meth:`discard`
-        path; a batch comparable to the index itself rewrites the value
-        map and re-sorts once — O(n log n) beats thousands of O(n)
-        list memmoves, which is the regime deferred time-travel
-        finalization lands in."""
-        self._materialize()
-        if len(discards) + len(updates) < max(64, len(self._keys) // 8):
-            for cluster_id in discards:
-                self.discard(cluster_id)
-            for cluster_id, value in updates:
-                self.set(cluster_id, value)
+        A batch comparable to the index itself re-sorts once into the
+        array backing — O(n log n) beats thousands of O(n) list
+        memmoves, and no key tuples are allocated.  A small batch
+        edits the sorted key list in place."""
+        if len(discards) + len(updates) >= max(64, len(self) // 8):
+            self._apply_bulk(discards, updates)
             return
+        self._materialize()
+        keys = self._keys
         values = self._values
         for cluster_id in discards:
-            values.pop(cluster_id, None)
-        values.update(updates)
-        if not values:
-            self._keys = []
-            return
-        cids = np.fromiter(values.keys(), dtype="<i8", count=len(values))
-        negs = np.fromiter(values.values(), dtype="<i8", count=len(values))
-        np.negative(negs, out=negs)
-        order = np.lexsort((cids, negs))
-        self._keys = list(
-            zip(negs[order].tolist(), cids[order].tolist())
+            old = values.pop(cluster_id, None)
+            if old is not None:
+                del keys[bisect_left(keys, (-old, cluster_id))]
+        for cluster_id, value in updates:
+            old = values.get(cluster_id)
+            if old == value:
+                continue
+            if old is not None:
+                del keys[bisect_left(keys, (-old, cluster_id))]
+            insort(keys, (-value, cluster_id))
+            values[cluster_id] = value
+
+    def _apply_bulk(self, discards, updates) -> None:
+        """Merge the surviving entries with ``updates`` into fresh
+        lexsorted columns (either backing in, array backing out)."""
+        if self._neg is not None:
+            cids = self._cid
+            vals = np.negative(self._neg)
+        else:
+            count = len(self._values)
+            cids = np.fromiter(self._values.keys(), dtype="<i8", count=count)
+            vals = np.fromiter(self._values.values(), dtype="<i8", count=count)
+        count = len(updates)
+        new_cids = np.fromiter(
+            (cluster_id for cluster_id, _value in updates),
+            dtype="<i8", count=count,
         )
+        new_vals = np.fromiter(
+            (value for _cluster_id, value in updates),
+            dtype="<i8", count=count,
+        )
+        if len(cids):
+            dropped = np.concatenate(
+                (
+                    np.fromiter(discards, dtype="<i8", count=len(discards)),
+                    new_cids,
+                )
+            )
+            kept = ~np.isin(cids, dropped)
+            new_cids = np.concatenate((cids[kept], new_cids))
+            new_vals = np.concatenate((vals[kept], new_vals))
+        self._set_columns(new_cids, new_vals)
 
     def top(self, n: int) -> tuple[tuple[int, int], ...]:
         """The best ``n`` entries as ``(cluster id, value)`` pairs."""
@@ -220,36 +224,45 @@ class RankIndex:
             rank_of={cid: rank for rank, (cid, _value) in enumerate(order, 1)},
         )
 
-    def copy(self) -> "RankIndex":
-        """An independent copy (checkpoint material for time travel)."""
-        clone = RankIndex.__new__(RankIndex)
-        if self._neg is not None:
-            clone._keys = []
-            clone._values = {}
-            clone._neg = self._neg.copy()
-            clone._cid = self._cid.copy()
-            return clone
-        clone._keys = list(self._keys)
-        clone._values = dict(self._values)
-        clone._neg = None
-        clone._cid = None
-        return clone
 
-    @classmethod
-    def from_columns(cls, cluster_ids, values) -> "RankIndex":
-        """Build wholesale from parallel id/value numpy columns — one
-        lexsort, stored as the array backing (the time-travel settle
-        path; ids must be unique)."""
-        index = cls.__new__(cls)
-        vals = np.asarray(values, dtype="<i8")
-        cids = np.asarray(cluster_ids, dtype="<i8")
-        negs = np.negative(vals)
-        order = np.lexsort((cids, negs))
-        index._keys = []
-        index._values = {}
-        index._neg = negs[order]
-        index._cid = cids[order]
-        return index
+def _open_link_components(root_pairs) -> dict[int, int]:
+    """Group base roots connected by open (voidable) change links.
+
+    ``root_pairs`` holds each open link's endpoints already resolved to
+    base roots.  The pair graph is tiny (one edge per open label), so
+    components come from a small inline dict-backed union-find, returned
+    fully compressed: ``base root -> component label`` (one member root
+    per component) for every root some link touches.  Every component
+    spans at least two roots — each tracked root was unioned with a
+    distinct partner."""
+    parent: dict[int, int] = {}
+    get = parent.get
+
+    def gfind(item: int) -> int:
+        root = item
+        while True:
+            above = get(root, root)
+            if above == root:
+                break
+            root = above
+        while item != root:
+            parent[item], item = root, parent[item]
+        return root
+
+    for ra, rb in root_pairs:
+        if ra == rb:
+            continue
+        if ra not in parent:
+            parent[ra] = ra
+        if rb not in parent:
+            parent[rb] = rb
+        fa = gfind(ra)
+        fb = gfind(rb)
+        if fa != fb:
+            parent[fb] = fa
+    for item in parent:
+        gfind(item)  # compress: every entry now maps to its label
+    return parent
 
 
 @dataclass(frozen=True)
@@ -456,42 +469,18 @@ class _HorizonState:
         """Vectorized overlay grouping for :meth:`settle`, matching
         :meth:`ClusterAggregateView._build_overlay`'s aggregation.
 
-        The open-link pair graph is tiny (one edge per open label), so
-        components come from a scalar union-find over its roots; every
+        Components come from :func:`_open_link_components`; every
         per-group quantity — sorted member tuple, fold sums, seen-range
         extremes, canonical id — is then a ``reduceat`` over one
         lexsorted gather instead of a per-root Python read."""
-        parent: dict[int, int] = {}
-        get = parent.get
-
-        def gfind(item: int) -> int:
-            root = item
-            while True:
-                above = get(root, root)
-                if above == root:
-                    break
-                root = above
-            while item != root:
-                parent[item], item = root, parent[item]
-            return root
-
-        for ra, rb in zip(owners.tolist(), spenders.tolist()):
-            if ra == rb:
-                continue
-            if ra not in parent:
-                parent[ra] = ra
-            if rb not in parent:
-                parent[rb] = rb
-            fa = gfind(ra)
-            fb = gfind(rb)
-            if fa != fb:
-                parent[fb] = fa
-        if not parent:
-            return
-        items = np.fromiter(parent, dtype="<i8", count=len(parent))
-        labels = np.fromiter(
-            (gfind(item) for item in parent), dtype="<i8", count=len(parent)
+        label_of = _open_link_components(
+            zip(owners.tolist(), spenders.tolist())
         )
+        if not label_of:
+            return
+        count = len(label_of)
+        items = np.fromiter(label_of.keys(), dtype="<i8", count=count)
+        labels = np.fromiter(label_of.values(), dtype="<i8", count=count)
         order = np.lexsort((items, labels))
         members = items[order]
         grouped = labels[order]
@@ -540,11 +529,19 @@ def _refresh_rank_indexes(
     old_cids: set[int],
     new_entries: list[tuple[int, int, int, int]],
 ) -> None:
-    """Rank churn shared by live flushes and time-travel replay (same
-    inclusion rule as the batch builders: ``size`` ranks everything,
-    ``balance``/``activity`` only positive totals).  Batched per metric
-    so a large refresh (a deferred time-travel finalize) takes each
-    index's one-sort bulk path instead of per-entry memmoves."""
+    """Apply one refresh's ranking churn: ids in ``old_cids`` that no
+    entry re-ranks go out, every ``(cid, size, balance, tx_count)`` entry
+    goes in.
+
+    The one rank refresh, shared by every live flush and by
+    :meth:`ClusterAggregateView._rebuild_derived` on restore.  Inclusion
+    matches a batch ranking exactly: ``size`` ranks every cluster;
+    ``balance`` and ``activity`` rank only clusters with a positive total
+    (balances are non-negative, so this equals a batch pass that skips
+    zero-balance member addresses).  Batched per metric so a refresh as
+    large as the index (a cold build's first flush, a restore, a long
+    tail replay) takes :meth:`RankIndex.apply`'s one-sort columnar path
+    instead of per-entry list inserts."""
     new_cids = {entry[0] for entry in new_entries}
     gone = old_cids - new_cids
     size_updates: list[tuple[int, int]] = []
@@ -769,7 +766,6 @@ class ClusterAggregateView(MaterializedView):
         engine: IncrementalClusteringEngine,
         follow: bool = True,
         use_kernels: bool = True,
-        time_travel: bool = True,
         metrics=None,
     ) -> None:
         self.engine = engine
@@ -819,15 +815,11 @@ class ClusterAggregateView(MaterializedView):
         well as the height, so caches key on ``(height, naming_epoch)``
         for those kinds (see :meth:`QueryEngine._cache_key
         <repro.service.queries.QueryEngine._cache_key>`)."""
-        self._tt_enabled = time_travel
         self._tt_records: dict[int, _HeightRecord] = {}
         """The per-height aggregate delta log, keyed by height."""
-        self._tt_base: _HorizonState | None = (
-            _HorizonState() if time_travel else None
-        )
-        """Oldest materialized state (genesis for a fresh view; the
-        restore height after a v2/v3 snapshot seeds it).  ``None`` means
-        time travel cannot serve yet."""
+        self._tt_base = _HorizonState()
+        """Oldest materialized state: genesis (height -1), so the log
+        covers every height ``0..tip``."""
         self._tt_spine: dict[int, _HorizonState] = {}
         """Sparse checkpoints at :attr:`_TT_INTERVAL` multiples,
         materialized lazily as replays first cross them."""
@@ -977,7 +969,7 @@ class ClusterAggregateView(MaterializedView):
             new_entries.append(
                 (group.cid, group.size, group.balance, group.tx_count)
             )
-        self._refresh_ranks(stale_cids, new_entries)
+        _refresh_rank_indexes(self._ranks, stale_cids, new_entries)
         if timed:
             seconds = perf_counter() - flush_start
             metrics.histogram("aggregates.flush_seconds").observe(seconds)
@@ -1099,19 +1091,18 @@ class ClusterAggregateView(MaterializedView):
         # ``(previous mark, mark]`` on the (append-only) base log is
         # exactly this block's effective merges; the columnar churn
         # buffers are retained by reference, BalanceView-style.
-        if self._tt_enabled:
-            self._tt_records[height] = _HeightRecord(
-                height=height,
-                max_id=delta.max_id,
-                mark=uf.checkpoint(),
-                born_open=tuple(
-                    live for live in churn.born if live.deadline is not None
-                ),
-                closed=tuple(churn.voided) + tuple(churn.settled),
-                event_ids=delta.event_ids,
-                event_values=delta.event_values,
-                involved_flat=delta.involved_flat,
-            )
+        self._tt_records[height] = _HeightRecord(
+            height=height,
+            max_id=delta.max_id,
+            mark=uf.checkpoint(),
+            born_open=tuple(
+                live for live in churn.born if live.deadline is not None
+            ),
+            closed=tuple(churn.voided) + tuple(churn.settled),
+            event_ids=delta.event_ids,
+            event_values=delta.event_values,
+            involved_flat=delta.involved_flat,
+        )
 
         # 5. Per-address churn folded at the post-merge roots: balance
         #    deltas off the delta's flat event log, incidences off the
@@ -1222,41 +1213,13 @@ class ClusterAggregateView(MaterializedView):
 
         ``root_pairs`` holds each open link's endpoints already resolved
         to base roots (the caller needs those roots anyway); grouping
-        runs on a small inline dict-backed union-find, and per-group
+        runs through :func:`_open_link_components`, and per-group
         aggregation reads the base arrays directly.  A component whose
         root set matches a pre-flush group exactly and touches no root
         in ``touched_roots`` reuses that group object verbatim — the
         flush detects reuse by identity and skips its rank churn.
         """
         prev_of = self._overlay_of
-        parent: dict[int, int] = {}
-        get = parent.get
-
-        def gfind(item: int) -> int:
-            root = item
-            while True:
-                above = get(root, root)
-                if above == root:
-                    break
-                root = above
-            while item != root:
-                parent[item], item = root, parent[item]
-            return root
-
-        for ra, rb in root_pairs:
-            if ra == rb:
-                continue
-            if ra not in parent:
-                parent[ra] = ra
-            if rb not in parent:
-                parent[rb] = rb
-            fa = gfind(ra)
-            fb = gfind(rb)
-            if fa != fb:
-                parent[fb] = fa
-        members: dict[int, list[int]] = {}
-        for item in parent:
-            members.setdefault(gfind(item), []).append(item)
         groups: list[_OverlayGroup] = []
         reuse_hits = 0
         sizes = self._uf.root_sizes
@@ -1265,9 +1228,10 @@ class ClusterAggregateView(MaterializedView):
         firsts = self._first
         lasts = self._last
         min_member = self._min_member
+        members: dict[int, list[int]] = {}
+        for root, label in _open_link_components(root_pairs).items():
+            members.setdefault(label, []).append(root)
         for roots in members.values():
-            # Every tracked root was unioned with a distinct partner, so
-            # components here always span at least two base clusters.
             roots_key = tuple(sorted(roots))
             prev = prev_of.get(roots_key[0])
             if (
@@ -1320,38 +1284,6 @@ class ClusterAggregateView(MaterializedView):
         self._overlay_of = {
             root: group for group in groups for root in group.roots
         }
-
-    def _refresh_ranks(
-        self,
-        old_cids: set[int],
-        new_entries: list[tuple[int, int, int, int]],
-    ) -> None:
-        """Apply one flush's ranking churn: stale ids out, live ids in.
-
-        Inclusion mirrors the batch ``_agg`` builders exactly: ``size``
-        ranks every cluster in the universe; ``balance`` and
-        ``activity`` rank only clusters with a positive total (balances
-        are non-negative, so this equals the batch pass that skips
-        zero-balance member addresses).
-        """
-        ranks = self._ranks
-        new_cids = {entry[0] for entry in new_entries}
-        for cid in old_cids - new_cids:
-            for rank_index in ranks.values():
-                rank_index.discard(cid)
-        size_index = ranks["size"]
-        balance_index = ranks["balance"]
-        activity_index = ranks["activity"]
-        for cid, size, balance, tx_count in new_entries:
-            size_index.set(cid, size)
-            if balance > 0:
-                balance_index.set(cid, balance)
-            else:
-                balance_index.discard(cid)
-            if tx_count > 0:
-                activity_index.set(cid, tx_count)
-            else:
-                activity_index.discard(cid)
 
     # ------------------------------------------------------------------
     # queries (all at the view's height; each flushes queued blocks)
@@ -1529,19 +1461,14 @@ class ClusterAggregateView(MaterializedView):
     # ------------------------------------------------------------------
 
     def covers(self, height: int) -> bool:
-        """True when :meth:`horizon` can serve ``height`` by replay —
-        the height is inside the delta log's materialized span."""
+        """True when :meth:`horizon` can serve ``height``: the delta log
+        starts at genesis, so that is every height ``0..tip``."""
         self._flush()
-        return (
-            self._tt_enabled
-            and self._tt_base is not None
-            and self._tt_base.height <= height <= self._height
-        )
+        return 0 <= height <= self._height
 
-    def horizon(self, height: int) -> HorizonAggregates | None:
-        """The aggregate surface at a historical ``height``, or ``None``
-        when the delta log does not cover it (time travel disabled, or a
-        v2/v3 restore whose pre-restore history was never logged).
+    def horizon(self, height: int) -> HorizonAggregates:
+        """The aggregate surface at a historical ``height`` (``ValueError``
+        outside ``0..tip``).
 
         Replays forward from the nearest materialized state — the base,
         a spine checkpoint, or a memoized exact height — applying one
@@ -1550,13 +1477,10 @@ class ClusterAggregateView(MaterializedView):
         replay crosses them, so a warm view bounds any replay to one
         interval of records instead of the whole log.
         """
-        self._flush()
-        if not (
-            self._tt_enabled
-            and self._tt_base is not None
-            and self._tt_base.height <= height <= self._height
-        ):
-            return None
+        if not self.covers(height):
+            raise ValueError(
+                f"horizon height {height} outside 0..{self._height}"
+            )
         metrics = self.metrics
         timed = metrics.enabled
         memo = self._tt_memo
@@ -1720,51 +1644,9 @@ class ClusterAggregateView(MaterializedView):
         state.derived_dirty = True
         state.height = height
 
-    def seed_time_travel_base(self, balances, activity) -> None:
-        """Anchor the delta log at the view's *current* height from the
-        restored sibling views.
-
-        v2/v3 snapshots carry no time-travel segment: history below the
-        restore height is unrecoverable, but seeding a base checkpoint
-        here means every height from the restore point forward is logged
-        and served.  ``balances`` / ``activity`` are the service's
-        restored :class:`~repro.service.views.BalanceView` /
-        :class:`~repro.service.views.ActivityView` at the same height.
-        """
-        if not self._tt_enabled:
-            return
-        self._flush()
-        base = _HorizonState()
-        base.height = self._height
-        base.mark = self._uf.checkpoint()
-        base.uf = self._uf.copy()
-        base.balance = self._balance.copy()
-        base.tx_count = self._tx_count.copy()
-        base.first = self._first.copy()
-        base.last = self._last.copy()
-        base.min_member = self._min_member.copy()
-        n = len(base.uf)
-        # Sibling views grow off the same per-block max_id, so their
-        # arrays already span the universe; grow_to is belt-and-braces
-        # for an empty chain.
-        base.a_balance = balances._balances.copy()
-        base.a_balance.grow_to(n)
-        base.a_tx_count = activity._tx_counts.copy()
-        base.a_tx_count.grow_to(n)
-        base.a_first = activity._first_seen.copy()
-        base.a_first.grow_to(n, fill=-1)
-        base.a_last = activity._last_seen.copy()
-        base.a_last.grow_to(n, fill=-1)
-        base.open = set(self._open)
-        base.settle()
-        self._tt_base = base
-        self._tt_records = {}
-        self._tt_spine = {}
-        self._tt_memo = OrderedDict()
-
-    def export_time_travel(self) -> dict | None:
-        """The delta log + base checkpoint as plain data (the optional
-        ``timetravel`` snapshot segment), or ``None`` when disabled.
+    def export_time_travel(self) -> dict:
+        """The delta log + base checkpoint as plain data (the
+        ``timetravel`` snapshot segment).
 
         Label references serialize as indices into the engine's
         birth-ordered label list (the same convention the engine's own
@@ -1772,8 +1654,6 @@ class ClusterAggregateView(MaterializedView):
         engine's live label objects.  The spine and memo are replay
         caches, rebuilt on demand — never exported.
         """
-        if not self._tt_enabled or self._tt_base is None:
-            return None
         self._flush()
         label_index = {
             id(live): position
@@ -1815,7 +1695,7 @@ class ClusterAggregateView(MaterializedView):
             ],
         }
 
-    def load_time_travel(self, state: dict) -> None:
+    def _load_time_travel(self, state: dict) -> None:
         """Restore :meth:`export_time_travel` output onto this view.
 
         The engine must already be restored: label references are
@@ -1824,6 +1704,11 @@ class ClusterAggregateView(MaterializedView):
         """
         labels = self.engine._labels
         base_state = state["base"]
+        if base_state["height"] != -1:
+            raise ValueError(
+                f"time-travel log starts at height {base_state['height']}, "
+                f"not genesis; rebuild cold"
+            )
         base = _HorizonState()
         base.height = base_state["height"]
         base.mark = base_state["mark"]
@@ -1839,7 +1724,6 @@ class ClusterAggregateView(MaterializedView):
         base.a_last = IntVector.from_bytes(base_state["a_last"])
         base.open = {labels[position] for position in base_state["open"]}
         base.settle()
-        self._tt_enabled = True
         self._tt_base = base
         self._tt_records = {
             height: _HeightRecord(
@@ -1872,8 +1756,7 @@ class ClusterAggregateView(MaterializedView):
         first, so an export always reflects the view's full height.
 
         Version 2: the five fold arrays export as raw int64 bytes (one
-        buffer each); :meth:`from_state` still accepts the version-1
-        list shape.
+        buffer each).
         """
         self._flush()
         return {
@@ -1892,39 +1775,40 @@ class ClusterAggregateView(MaterializedView):
         cls,
         index: ChainIndex,
         state: dict,
+        timetravel: dict,
         *,
         engine: IncrementalClusteringEngine,
         follow: bool = True,
         use_kernels: bool = True,
-        time_travel: bool = True,
         metrics=None,
     ) -> "ClusterAggregateView":
-        """Rebuild a view from :meth:`export_state` output, no catch-up.
+        """Rebuild a view from :meth:`export_state` and
+        :meth:`export_time_travel` output, no catch-up.
 
         ``engine`` must be the restored engine at the same height — the
         open-label overlay is reconstructed from its live label state,
-        so restored rankings are identical to the exporting view's.
-        Accepts both the version-2 bytes shape and the pre-columnar
-        version-1 list shape.
-
-        The delta log restores separately (:meth:`load_time_travel` for
-        manifest-v4 snapshots with a ``timetravel`` segment;
-        :meth:`seed_time_travel_base` anchors a fresh base at the
-        restore height for older snapshots) — until one of those runs,
-        :meth:`covers` is ``False`` and historical horizons fall back to
-        the batch rebuild.
+        so restored rankings are identical to the exporting view's, and
+        the delta log's label references re-bind to its label objects.
+        Only the version-2 bytes shape is accepted; older state fails
+        closed (a snapshot is a cache of state the chain re-derives, so
+        the remedy is a cold rebuild).
         """
+        if state.get("version") != 2:
+            raise ValueError(
+                f"unsupported aggregate state version "
+                f"{state.get('version')!r} (expected 2); rebuild cold"
+            )
         view = cls.__new__(cls)
         view.metrics = metrics if metrics is not None else NULL_REGISTRY
         view.engine = engine
         view._use_kernels = use_kernels
         view._uf = IntUnionFind.from_state(state["uf"])
         view._cursor = view._uf.merge_cursor()
-        view._balance = _fold_array(state["balance"])
-        view._tx_count = _fold_array(state["tx_count"])
-        view._first = _fold_array(state["first_seen"])
-        view._last = _fold_array(state["last_seen"])
-        view._min_member = _fold_array(state["min_member"])
+        view._balance = IntVector.from_bytes(state["balance"])
+        view._tx_count = IntVector.from_bytes(state["tx_count"])
+        view._first = IntVector.from_bytes(state["first_seen"])
+        view._last = IntVector.from_bytes(state["last_seen"])
+        view._min_member = IntVector.from_bytes(state["min_member"])
         if engine.height != state["height"]:
             raise ValueError(
                 f"aggregate state is at height {state['height']} but the "
@@ -1936,11 +1820,7 @@ class ClusterAggregateView(MaterializedView):
         view._naming_cursors = []
         view._default_naming_cursor = None
         view.naming_epoch = 0
-        view._tt_enabled = time_travel
-        view._tt_base = None
-        view._tt_records = {}
-        view._tt_spine = {}
-        view._tt_memo = OrderedDict()
+        view._load_time_travel(timetravel)
         view._rebuild_derived()
         view._adopt(index, state["height"], follow)
         return view
@@ -1970,4 +1850,4 @@ class ClusterAggregateView(MaterializedView):
             entries.append(
                 (group.cid, group.size, group.balance, group.tx_count)
             )
-        self._refresh_ranks(set(), entries)
+        _refresh_rank_indexes(self._ranks, set(), entries)

@@ -25,15 +25,7 @@ kind                 args                        answer
 The cluster kinds (``cluster_of``, ``cluster_balance``,
 ``top_clusters``, ``cluster_profile``) accept one optional trailing
 ``height`` argument — ``Query("top_clusters", (10, "size", 420))`` asks
-the question *as of block 420*.  Historical horizons are served by
-replaying the aggregate view's per-height delta log forward from the
-nearest materialized checkpoint
-(:meth:`~repro.service.aggregates.ClusterAggregateView.horizon`);
-when the view is absent or its log does not reach back that far, the
-batch ``_agg`` rebuild runs against the partition-as-of-``h``
-(:meth:`~repro.core.incremental.IncrementalClusteringEngine.cluster_as_of`),
-cached under ``(h, _agg:*)`` — history is immutable, so those entries
-never go stale.
+the question *as of block 420*.
 
 :class:`QueryEngine` answers them from the service's warm views.  Every
 answer is memoized in the height-keyed LRU
@@ -44,22 +36,25 @@ construction.
 Cluster ids in answers are **canonical**: a cluster is identified by
 its minimum member address id (dense first-sight interned ids, so this
 is the cluster's earliest-seen address).  Canonical ids depend only on
-the partition — not on union order, restores, or which maintenance
-path produced the answer — which keeps ranking tie-breaks stable and
-makes the differential and batch paths byte-comparable.
+the partition — not on union order, restores, or how the answer was
+produced — which keeps ranking tie-breaks stable and makes answers
+byte-comparable with an independent batch rebuild.
 
-Cluster-level questions are served, whenever the service's
-:class:`~repro.service.aggregates.ClusterAggregateView` is live at the
-tip, straight from its differentially maintained per-cluster state and
-rank indexes — O(answer) per query, O(block churn + merges) per block.
-When the view is absent or behind the tip (detached, or a historical
-horizon below its live height), the engine falls back to the batch
-rebuild: whole-partition aggregates (cluster balances, activity,
-canonical ids, names) cached under reserved ``_agg:*`` queries, with
-one shared :class:`ClusterRanking` per ``(height, metric)`` under
-``_agg:ranking:*``.  :meth:`QueryEngine.answer_many` additionally
-groups a batch by kind so same-view queries share one round of
-partition/view lookups.
+Every cluster question has exactly two serving paths, both on the
+service's :class:`~repro.service.aggregates.ClusterAggregateView`:
+
+* **the tip** reads the view's differentially maintained per-cluster
+  state and rank indexes — O(answer) per query, O(block churn + merges)
+  per block;
+* **a past height** ``h`` reads ``view.horizon(h)``, which replays the
+  view's per-height delta log forward from the nearest materialized
+  checkpoint
+  (:meth:`~repro.service.aggregates.ClusterAggregateView.horizon`).
+
+A view that no longer follows the chain (detached) is behind the tip;
+cluster questions against it raise rather than serve stale state.
+:meth:`QueryEngine.answer_many` additionally groups a batch by kind so
+same-view queries run together.
 
 Answers are plain data and must be treated as immutable — they are
 shared by every caller that hits the same cache entry.
@@ -73,7 +68,6 @@ from time import perf_counter
 
 from ..obs import next_request_id
 from ..tagging.naming import top_entity
-from .views import ClusterActivity
 
 QUERY_KINDS = (
     "cluster_of",
@@ -151,6 +145,7 @@ def parse_query(tokens: list[str]) -> Query:
         return Query(kind, (" ".join(rest),))
     if kind == "top_clusters":
         n = int(rest[0]) if rest else 10
+        _check_top_n(n)
         by = rest[1] if len(rest) > 1 else "size"
         if by not in TOP_CLUSTER_METRICS:
             raise ValueError(
@@ -160,6 +155,14 @@ def parse_query(tokens: list[str]) -> Query:
             return Query(kind, (n, by, int(rest[2])))
         return Query(kind, (n, by))
     raise ValueError(f"unknown query kind {tokens[0]!r} (kinds: {QUERY_KINDS})")
+
+
+def _check_top_n(n) -> None:
+    """``top_clusters`` takes a non-negative int count."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ValueError(
+            f"top_clusters count must be a non-negative int, got {n!r}"
+        )
 
 
 def format_answer(query: Query, answer) -> str:
@@ -200,8 +203,8 @@ class QueryEngine:
         confidence, address]``.  Lazily built; ids are interned once per
         address ever (first-sight, stable), so each name build only
         re-checks entries whose addresses were still unseen.  The order
-        is preserved so confidence sums accumulate exactly like the
-        batch path's ``all_tags`` walk."""
+        is preserved so confidence sums accumulate exactly like a full
+        ``all_tags`` walk."""
         self._tag_unresolved = 0
         """Count of entries with a still-``None`` id."""
         self._tag_count = -1
@@ -298,8 +301,7 @@ class QueryEngine:
         return (self.service.height, query)
 
     def _naming_epoch(self) -> int:
-        view = self.service.aggregates
-        return view.naming_epoch if view is not None else 0
+        return self.service.aggregates.naming_epoch
 
     def answer_many(
         self, queries: list[Query], *, request_id: str | None = None
@@ -307,12 +309,11 @@ class QueryEngine:
         """Answer a batch; answers come back in input order.
 
         Same-view queries are grouped by kind so each kind's shared
-        state (the tip partition, the per-height cluster aggregates) is
-        built exactly once, by the group's first miss, before its
-        siblings run — the amortization itself is the `_agg:*` / engine
-        memoization, so interleaved :meth:`answer` calls converge to
-        the same cost; grouping just makes the build order
-        deterministic.
+        state (the view flush, a horizon replay, the name map) is built
+        by the group's first miss before its siblings run — the
+        amortization itself is the view's and the cache's memoization,
+        so interleaved :meth:`answer` calls converge to the same cost;
+        grouping just makes the build order deterministic.
 
         Every dispatch carries one shared ``request_id`` (minted here
         when the caller passes none) so a batch's flight-recorder spans
@@ -330,70 +331,78 @@ class QueryEngine:
                 )
         return answers
 
-    # -- differential fast path ----------------------------------------
+    # -- the aggregate surface a cluster question reads -----------------
 
-    def _live_aggregates(self):
-        """The service's differential cluster-aggregate view, when it is
-        live at the tip — otherwise ``None`` and cluster answers fall
-        back to the batch ``_agg`` rebuild (the only remaining use of
-        that path: views that are detached or behind the tip, i.e.
-        historical horizons below the view's live height)."""
+    def _aggregates_for(self, args: tuple, arity: int):
+        """``(surface, height)`` for one cluster question: the live
+        :class:`~repro.service.aggregates.ClusterAggregateView` and
+        ``None`` at the tip, or ``view.horizon(h)`` and ``h`` for a
+        historical horizon.
+
+        Both surfaces expose the same cluster reads.  A view that stopped
+        following the index (detached) cannot answer either: its tip is
+        stale and its delta log ends below the chain's, so the question
+        raises instead of being answered from stale state."""
         view = self.service.aggregates
-        if view is not None and view.height == self.service.height:
-            return view
-        return None
+        tip = self.service.height
+        if view.height != tip:
+            raise RuntimeError(
+                f"cluster aggregate view is at height {view.height} but "
+                f"the chain is at {tip}; the view was detached, so "
+                f"cluster queries cannot be answered"
+            )
+        height = self._historical_height(args, arity)
+        if height is None:
+            return view, None
+        return view.horizon(height), height
 
-    # -- cached whole-partition aggregates (batch fallback) ------------
+    def _historical_height(self, args: tuple, arity: int) -> int | None:
+        """The optional trailing horizon height of ``args``, validated.
 
-    def _aggregate(self, name: str, build):
-        cache = self.service.cache
-        key = (self.service.height, Query(f"_agg:{name}"))
-        found, value = cache.lookup(key)
-        if found:
-            return value
-        value = build()
-        cache.put(key, value)
-        return value
+        Returns ``None`` for tip questions — both the plain
+        ``arity``-argument form and an explicit ``h == tip`` (the tip
+        fast path serves those).  Raises ``ValueError`` outside
+        ``0..tip``.
+        """
+        if len(args) <= arity:
+            return None
+        height = args[arity]
+        tip = self.service.height
+        if not isinstance(height, int) or isinstance(height, bool):
+            raise ValueError(
+                f"horizon height must be an int, got {height!r}"
+            )
+        if not 0 <= height <= tip:
+            raise ValueError(f"horizon height {height} outside 0..{tip}")
+        return None if height == tip else height
 
-    def _cluster_balances(self) -> dict[int, int]:
-        return self._aggregate(
-            "cluster_balances",
-            lambda: self.service.balances.cluster_balances(
-                self.service.clustering.uf
-            ),
-        )
+    # -- cluster names --------------------------------------------------
 
-    def _cluster_activity(self):
-        return self._aggregate(
-            "cluster_activity",
-            lambda: self.service.activity.cluster_activity(
-                self.service.clustering.uf
-            ),
-        )
-
-    def _canonical(self) -> dict[int, int]:
-        """Batch fallback: partition root -> canonical cluster id."""
-        return self._aggregate("canonical", self._build_canonical)
-
-    def _build_canonical(self) -> dict[int, int]:
-        find_root = self.service.clustering.uf.find_root
-        canonical: dict[int, int] = {}
-        for ident in range(len(self.service.clustering.uf)):
-            root = find_root(ident)
-            if root not in canonical:
-                # Ids ascend, so a root's first member is its minimum.
-                canonical[root] = ident
-        return canonical
-
-    def _cluster_names(self) -> dict[int, str] | None:
-        """``canonical id -> name`` at the tip, or ``None`` without tags.
+    def _cluster_names(self, height: int | None = None) -> dict[int, str] | None:
+        """``canonical id -> name`` at the tip (``height`` ``None``) or at
+        a historical horizon, or ``None`` without tags.
 
         Same winner rule as :class:`~repro.tagging.naming.ClusterNaming`
         (both apply :func:`~repro.tagging.naming.ranked_entities`'s
         ordering — here via its single-winner form
         :func:`~repro.tagging.naming.top_entity`), keyed by canonical
-        cluster id so both maintenance paths serve identical names."""
-        return self._aggregate("cluster_names", self._build_cluster_names)
+        cluster id.  Built once per ``(height, tag count)`` and cached
+        under a reserved ``_names`` query: history is immutable, and the
+        count re-enters the map when tags are added."""
+        tags = self.service.tags
+        if tags is None:
+            return None
+        at = self.service.height if height is None else height
+        key = (at, Query("_names", (len(tags),)))
+        cache = self.service.cache
+        found, names = cache.lookup(key)
+        if not found:
+            if height is None:
+                names = self._build_cluster_names()
+            else:
+                names = self._horizon_names(height)
+            cache.put(key, names)
+        return names
 
     def _resolved_tags(self) -> tuple[list[list], list[int]]:
         """Every tag as ``[address id | None, entity, confidence,
@@ -425,7 +434,7 @@ class QueryEngine:
         """Winner entity over one cluster's tag entries.
 
         ``indices`` ascend, so confidence sums accumulate in ``all_tags``
-        order — bit-identical to the batch path's full walk."""
+        order — bit-identical to a full walk of the tag store."""
         weights: dict[str, float] = {}
         for position in indices:
             entry = entries[position]
@@ -433,29 +442,27 @@ class QueryEngine:
             weights[entity] = weights.get(entity, 0.0) + entry[2]
         return top_entity(weights)
 
-    def _build_cluster_names(self) -> dict[int, str] | None:
-        tags = self.service.tags
-        if tags is None:
-            return None
-        view = self._live_aggregates()
-        if view is None:
-            canonical = self._canonical()
-            find_root = self.service.clustering.uf.find_root
-            weights: dict[int, dict[str, float]] = {}
-            for tag in tags.all_tags():
-                root = find_root(tag.address)
-                if root is None:
-                    continue
-                cluster_id = canonical[root]
-                entity_weights = weights.setdefault(cluster_id, {})
-                entity_weights[tag.entity] = (
-                    entity_weights.get(tag.entity, 0.0) + tag.confidence
-                )
-            return {
-                cluster_id: top_entity(entity_weights)
-                for cluster_id, entity_weights in weights.items()
-            }
+    def _horizon_names(self, height: int) -> dict[int, str]:
+        """The name map at a historical horizon: tag ids go through the
+        horizon's ``(root, cid)`` placements."""
+        entries, _fresh = self._resolved_tags()
+        placements = self.service.aggregates.horizon(
+            height
+        ).cluster_placements_of(entry[0] for entry in entries)
+        by_cid: dict[int, list[int]] = {}
+        for position, placed in enumerate(placements):
+            if placed is not None:
+                by_cid.setdefault(placed[1], []).append(position)
+        return {
+            cid: self._name_of_entries(indices, entries)
+            for cid, indices in by_cid.items()
+        }
 
+    def _build_cluster_names(self) -> dict[int, str]:
+        """The name map at the tip, patched incrementally from the
+        view's dirty-root drain: only tags whose base root the drain
+        reports (or that resolved to an id just now) are re-placed."""
+        view = self.service.aggregates
         entries, fresh = self._resolved_tags()
         if self._naming_cursor is None:
             self._naming_cursor = view.naming_cursor()
@@ -530,314 +537,23 @@ class QueryEngine:
         state["names"] = names
         return names
 
-    def _ranking(self, by: str) -> ClusterRanking:
-        """The shared per-height sorted index for one metric."""
-        if by not in TOP_CLUSTER_METRICS:
-            raise ValueError(
-                f"ranking metric must be one of {TOP_CLUSTER_METRICS}"
-            )
-        return self._aggregate(f"ranking:{by}", lambda: self._build_ranking(by))
-
-    def _build_ranking(self, by: str) -> ClusterRanking:
-        view = self._live_aggregates()
-        if view is not None:
-            return view.ranking(by)
-        canonical = self._canonical()
-        if by == "size":
-            metric = self.service.clustering.component_sizes()
-        elif by == "balance":
-            metric = self._cluster_balances()
-        else:  # activity
-            metric = {
-                root: activity.tx_count
-                for root, activity in self._cluster_activity().items()
-            }
-        order = tuple(
-            sorted(
-                ((canonical[root], value) for root, value in metric.items()),
-                key=lambda kv: (-kv[1], kv[0]),
-            )
-        )
-        rank_of = {cid: rank for rank, (cid, _value) in enumerate(order, 1)}
-        return ClusterRanking(order=order, rank_of=rank_of)
-
-    # -- historical horizons (h < tip) ---------------------------------
-
-    def _historical_height(self, args: tuple, arity: int) -> int | None:
-        """The optional trailing horizon height of ``args``, validated.
-
-        Returns ``None`` for tip questions — both the plain
-        ``arity``-argument form and an explicit ``h == tip`` (the tip
-        fast path serves those).  Raises ``ValueError`` outside
-        ``0..tip``.
-        """
-        if len(args) <= arity:
-            return None
-        height = args[arity]
-        tip = self.service.height
-        if not isinstance(height, int) or isinstance(height, bool):
-            raise ValueError(
-                f"horizon height must be an int, got {height!r}"
-            )
-        if not 0 <= height <= tip:
-            raise ValueError(f"horizon height {height} outside 0..{tip}")
-        return None if height == tip else height
-
-    def _horizon_view(self, height: int):
-        """Replayed aggregate state at ``height``
-        (:class:`~repro.service.aggregates.HorizonAggregates`), or
-        ``None`` when the view is absent or its delta log does not
-        reach back that far — then the batch ``_agg@h`` rebuild runs."""
-        view = self.service.aggregates
-        if view is not None and view.covers(height):
-            return view.horizon(height)
-        return None
-
-    def _aggregate_at(self, height: int, name: str, build):
-        """Like :meth:`_aggregate`, but keyed at the *horizon* height:
-        history is immutable, so an ``_agg@h`` entry built once serves
-        every later tip without invalidation."""
-        cache = self.service.cache
-        key = (height, Query(f"_agg:{name}"))
-        found, value = cache.lookup(key)
-        if found:
-            return value
-        value = build()
-        cache.put(key, value)
-        return value
-
-    def _clustering_at(self, height: int):
-        return self.service.engine.cluster_as_of(height)
-
-    def _canonical_at(self, height: int) -> dict[int, int]:
-        """Batch fallback at ``height``: root -> canonical cluster id."""
-
-        def build() -> dict[int, int]:
-            uf = self._clustering_at(height).uf
-            find_root = uf.find_root
-            canonical: dict[int, int] = {}
-            for ident in range(len(uf)):
-                root = find_root(ident)
-                if root not in canonical:
-                    # Ids ascend, so a root's first member is its minimum.
-                    canonical[root] = ident
-            return canonical
-
-        return self._aggregate_at(height, "canonical", build)
-
-    def _address_balances_at(self, height: int) -> dict[int, int]:
-        """``address id -> balance`` after block ``height`` (nonzero
-        entries only), re-summed from the balance view's event log —
-        the same per-height ``(ids, values)`` records the time-travel
-        replay folds, applied here without aggregate state."""
-
-        def build() -> dict[int, int]:
-            events_at = self.service.balances.events_at
-            balances: dict[int, int] = {}
-            for h in range(height + 1):
-                for ident, change in events_at(h):
-                    total = balances.get(ident, 0) + change
-                    if total:
-                        balances[ident] = total
-                    else:
-                        balances.pop(ident, None)
-            return balances
-
-        return self._aggregate_at(height, "address_balances", build)
-
-    def _cluster_balances_at(self, height: int) -> dict[int, int]:
-        def build() -> dict[int, int]:
-            find_root = self._clustering_at(height).uf.find_root
-            out: dict[int, int] = {}
-            for ident, balance in sorted(
-                self._address_balances_at(height).items()
-            ):
-                root = find_root(ident)
-                if root is None:
-                    continue
-                out[root] = out.get(root, 0) + balance
-            return out
-
-        return self._aggregate_at(height, "cluster_balances", build)
-
-    def _address_activity_at(self, height: int):
-        """Per-address ``(tx counts, first seen, last seen)`` dicts at
-        ``height``, re-walked from the chain's block deltas (the same
-        involvement multiset :class:`~repro.service.views.ActivityView`
-        scatters at the tip)."""
-
-        def build():
-            block_delta = self.service.index.block_delta
-            counts: dict[int, int] = {}
-            first: dict[int, int] = {}
-            last: dict[int, int] = {}
-            for h in range(height + 1):
-                for ident in block_delta(h).involved_flat.tolist():
-                    counts[ident] = counts.get(ident, 0) + 1
-                    if ident not in first:
-                        first[ident] = h
-                    last[ident] = h
-            return counts, first, last
-
-        return self._aggregate_at(height, "address_activity", build)
-
-    def _cluster_activity_at(self, height: int) -> dict[int, ClusterActivity]:
-        def build() -> dict[int, ClusterActivity]:
-            find_root = self._clustering_at(height).uf.find_root
-            counts, first, last = self._address_activity_at(height)
-            agg_counts: dict[int, int] = {}
-            agg_first: dict[int, int] = {}
-            agg_last: dict[int, int] = {}
-            for ident in sorted(counts):
-                root = find_root(ident)
-                if root is None:
-                    continue
-                agg_counts[root] = agg_counts.get(root, 0) + counts[ident]
-                seen_first = first[ident]
-                seen_last = last[ident]
-                if root not in agg_first or seen_first < agg_first[root]:
-                    agg_first[root] = seen_first
-                if root not in agg_last or seen_last > agg_last[root]:
-                    agg_last[root] = seen_last
-            return {
-                root: ClusterActivity(
-                    tx_count=agg_counts[root],
-                    first_seen=agg_first[root],
-                    last_seen=agg_last[root],
-                )
-                for root in agg_counts
-            }
-
-        return self._aggregate_at(height, "cluster_activity", build)
-
-    def _ranking_at(self, height: int, by: str) -> ClusterRanking:
-        if by not in TOP_CLUSTER_METRICS:
-            raise ValueError(
-                f"ranking metric must be one of {TOP_CLUSTER_METRICS}"
-            )
-
-        def build() -> ClusterRanking:
-            canonical = self._canonical_at(height)
-            if by == "size":
-                metric = self._clustering_at(height).component_sizes()
-            elif by == "balance":
-                metric = self._cluster_balances_at(height)
-            else:  # activity
-                metric = {
-                    root: activity.tx_count
-                    for root, activity in self._cluster_activity_at(
-                        height
-                    ).items()
-                }
-            order = tuple(
-                sorted(
-                    (
-                        (canonical[root], value)
-                        for root, value in metric.items()
-                    ),
-                    key=lambda kv: (-kv[1], kv[0]),
-                )
-            )
-            rank_of = {
-                cid: rank for rank, (cid, _value) in enumerate(order, 1)
-            }
-            return ClusterRanking(order=order, rank_of=rank_of)
-
-        return self._aggregate_at(height, f"ranking:{by}", build)
-
-    def _cluster_names_at(self, height: int) -> dict[int, str] | None:
-        """``canonical id -> name`` at ``height``, or ``None`` without
-        tags.  With a covering horizon the map is a replay: tag ids go
-        through the horizon's cached ``(root, cid)`` placements instead
-        of an O(tags) partition walk.  The cache key carries the tag
-        count so tags added after the first build re-enter history."""
-        tags = self.service.tags
-        if tags is None:
-            return None
-
-        def build() -> dict[int, str]:
-            entries, _fresh = self._resolved_tags()
-            hz = self._horizon_view(height)
-            if hz is not None:
-                placements = hz.cluster_placements_of(
-                    entry[0] for entry in entries
-                )
-                by_cid: dict[int, list[int]] = {}
-                for position, placed in enumerate(placements):
-                    if placed is not None:
-                        by_cid.setdefault(placed[1], []).append(position)
-                return {
-                    cid: self._name_of_entries(indices, entries)
-                    for cid, indices in by_cid.items()
-                }
-            canonical = self._canonical_at(height)
-            find_root = self._clustering_at(height).uf.find_root
-            weights: dict[int, dict[str, float]] = {}
-            for tag in tags.all_tags():
-                root = find_root(tag.address)
-                if root is None:
-                    continue
-                entity_weights = weights.setdefault(canonical[root], {})
-                entity_weights[tag.entity] = (
-                    entity_weights.get(tag.entity, 0.0) + tag.confidence
-                )
-            return {
-                cid: top_entity(entity_weights)
-                for cid, entity_weights in weights.items()
-            }
-
-        return self._aggregate_at(
-            height, f"cluster_names:{len(tags)}", build
-        )
-
     # -- handlers ------------------------------------------------------
 
     def _answer_cluster_of(self, query: Query):
-        address = query.args[0]
-        height = self._historical_height(query.args, 1)
-        if height is not None:
-            hz = self._horizon_view(height)
-            if hz is not None:
-                ident = self.service.index.interner.id_of(address)
-                return hz.cluster_id_of(ident)
-            root = self._clustering_at(height).uf.find_root(address)
-            return None if root is None else self._canonical_at(height)[root]
-        view = self._live_aggregates()
-        if view is not None:
-            ident = self.service.index.interner.id_of(address)
-            return view.cluster_id_of(ident)
-        root = self.service.clustering.cluster_of(address)
-        return None if root is None else self._canonical()[root]
+        aggregates, _height = self._aggregates_for(query.args, 1)
+        ident = self.service.index.interner.id_of(query.args[0])
+        return aggregates.cluster_id_of(ident)
 
     def _answer_balance_of(self, query: Query):
         return self.service.balances.balance_of(query.args[0])
 
     def _answer_cluster_balance(self, query: Query):
-        address = query.args[0]
-        height = self._historical_height(query.args, 1)
-        if height is not None:
-            hz = self._horizon_view(height)
-            if hz is not None:
-                ident = self.service.index.interner.id_of(address)
-                cluster_id = hz.cluster_id_of(ident)
-                if cluster_id is None:
-                    return None
-                return hz.balance_of_cluster(cluster_id)
-            root = self._clustering_at(height).uf.find_root(address)
-            if root is None:
-                return None
-            return self._cluster_balances_at(height).get(root, 0)
-        view = self._live_aggregates()
-        if view is not None:
-            ident = self.service.index.interner.id_of(address)
-            cluster_id = view.cluster_id_of(ident)
-            if cluster_id is None:
-                return None
-            return view.balance_of_cluster(cluster_id)
-        root = self.service.clustering.cluster_of(address)
-        if root is None:
+        aggregates, _height = self._aggregates_for(query.args, 1)
+        ident = self.service.index.interner.id_of(query.args[0])
+        cluster_id = aggregates.cluster_id_of(ident)
+        if cluster_id is None:
             return None
-        return self._cluster_balances().get(root, 0)
+        return aggregates.balance_of_cluster(cluster_id)
 
     def _answer_trace_taint(self, query: Query):
         if query.args[0] not in self.service.taint.labels:
@@ -855,34 +571,21 @@ class QueryEngine:
         }
 
     def _answer_top_clusters(self, query: Query):
-        n, by = query.args[0], query.args[1]
-        height = self._historical_height(query.args, 2)
-        if height is not None:
-            names = self._cluster_names_at(height)
-            hz = self._horizon_view(height)
-            entries = (
-                hz.top(n, by)
-                if hz is not None
-                else self._ranking_at(height, by).top(n)
+        n, by = query.args[:2]
+        _check_top_n(n)
+        if by not in TOP_CLUSTER_METRICS:
+            raise ValueError(
+                f"ranking metric must be one of {TOP_CLUSTER_METRICS}"
             )
-            return tuple(
-                (
-                    cluster_id,
-                    value,
-                    names.get(cluster_id) if names is not None else None,
-                )
-                for cluster_id, value in entries
-            )
-        names = self._cluster_names()
-        view = self._live_aggregates()
-        entries = view.top(n, by) if view is not None else self._ranking(by).top(n)
+        aggregates, height = self._aggregates_for(query.args, 2)
+        names = self._cluster_names(height)
         return tuple(
             (
                 cluster_id,
                 value,
                 names.get(cluster_id) if names is not None else None,
             )
-            for cluster_id, value in entries
+            for cluster_id, value in aggregates.top(n, by)
         )
 
     def _answer_cluster_profile(self, query: Query):
@@ -891,102 +594,33 @@ class QueryEngine:
         ident = service.index.interner.id_of(address)
         if ident is None:
             return None
-        height = self._historical_height(query.args, 1)
-        if height is not None:
-            return self._profile_at(height, address, ident)
-        view = self._live_aggregates()
-        if view is not None:
-            cluster_id = view.cluster_id_of(ident)
-            if cluster_id is None:
-                return None
-            cluster_size = view.size_of_cluster(cluster_id)
-            cluster_balance = view.balance_of_cluster(cluster_id)
-            cluster_activity = view.activity_of_cluster(cluster_id)
-            cluster_rank = view.rank_of("size", cluster_id)
-        else:
-            clustering = service.clustering
-            root = clustering.uf.find_root(ident)
-            if root is None:
-                return None
-            cluster_id = self._canonical()[root]
-            cluster_size = clustering.uf.size_of(root)
-            cluster_balance = self._cluster_balances().get(root, 0)
-            cluster_activity = self._cluster_activity().get(root)
-            cluster_rank = self._ranking("size").rank_of.get(cluster_id)
-        seen = service.activity.seen_range_of_id(ident)
-        names = self._cluster_names()
-        return {
-            "address": address,
-            "address_id": ident,
-            "cluster": cluster_id,
-            "cluster_size": cluster_size,
-            "balance": service.balances.balance_of_id(ident),
-            "cluster_balance": cluster_balance,
-            "tx_count": service.activity.tx_count_of_id(ident),
-            "first_seen": seen[0] if seen else None,
-            "last_seen": seen[1] if seen else None,
-            "cluster_tx_count": (
-                cluster_activity.tx_count if cluster_activity else 0
-            ),
-            "cluster_rank": cluster_rank,
-            "name": (
-                names.get(cluster_id) if names is not None else None
-            ),
-        }
-
-    def _profile_at(self, height: int, address: str, ident: int):
-        """The historical ``cluster_profile`` body: same keys as the
-        tip answer, every field as of ``height``."""
-        names = self._cluster_names_at(height)
-        hz = self._horizon_view(height)
-        if hz is not None:
-            cluster_id = hz.cluster_id_of(ident)
-            if cluster_id is None:
-                return None
-            cluster_activity = hz.activity_of_cluster(cluster_id)
-            seen = hz.seen_range_of_id(ident)
-            return {
-                "address": address,
-                "address_id": ident,
-                "cluster": cluster_id,
-                "cluster_size": hz.size_of_cluster(cluster_id),
-                "balance": hz.balance_of_id(ident),
-                "cluster_balance": hz.balance_of_cluster(cluster_id),
-                "tx_count": hz.tx_count_of_id(ident),
-                "first_seen": seen[0] if seen else None,
-                "last_seen": seen[1] if seen else None,
-                "cluster_tx_count": (
-                    cluster_activity.tx_count if cluster_activity else 0
-                ),
-                "cluster_rank": hz.rank_of("size", cluster_id),
-                "name": (
-                    names.get(cluster_id) if names is not None else None
-                ),
-            }
-        clustering = self._clustering_at(height)
-        root = clustering.uf.find_root(ident)
-        if root is None:
+        aggregates, height = self._aggregates_for(query.args, 1)
+        cluster_id = aggregates.cluster_id_of(ident)
+        if cluster_id is None:
             return None
-        cluster_id = self._canonical_at(height)[root]
-        counts, first, last = self._address_activity_at(height)
-        cluster_activity = self._cluster_activity_at(height).get(root)
-        seen = (first[ident], last[ident]) if ident in first else None
+        # Per-address fields: the tip views, or the horizon's own
+        # as-of-height address arrays (same read methods).
+        if height is None:
+            balances, activity = service.balances, service.activity
+        else:
+            balances = activity = aggregates
+        cluster_activity = aggregates.activity_of_cluster(cluster_id)
+        seen = activity.seen_range_of_id(ident)
+        names = self._cluster_names(height)
         return {
             "address": address,
             "address_id": ident,
             "cluster": cluster_id,
-            "cluster_size": clustering.uf.size_of(root),
-            "balance": self._address_balances_at(height).get(ident, 0),
-            "cluster_balance": self._cluster_balances_at(height).get(root, 0),
-            "tx_count": counts.get(ident, 0),
+            "cluster_size": aggregates.size_of_cluster(cluster_id),
+            "balance": balances.balance_of_id(ident),
+            "cluster_balance": aggregates.balance_of_cluster(cluster_id),
+            "tx_count": activity.tx_count_of_id(ident),
             "first_seen": seen[0] if seen else None,
             "last_seen": seen[1] if seen else None,
             "cluster_tx_count": (
                 cluster_activity.tx_count if cluster_activity else 0
             ),
-            "cluster_rank": self._ranking_at(height, "size").rank_of.get(
-                cluster_id
-            ),
+            "cluster_rank": aggregates.rank_of("size", cluster_id),
             "name": names.get(cluster_id) if names is not None else None,
         }
 

@@ -3,9 +3,10 @@
 :class:`ForensicsService` is the serving layer the ROADMAP's
 production-scale north star asks for.  It owns one
 :class:`~repro.core.incremental.IncrementalClusteringEngine` and the
-three streaming materialized views, all attached to the same
-:meth:`ChainIndex.subscribe <repro.chain.index.ChainIndex.subscribe>`
-fan-out, so every ``add_block``:
+four streaming materialized views, all attached to the same
+:meth:`ChainIndex.subscribe_deltas
+<repro.chain.index.ChainIndex.subscribe_deltas>` fan-out, so every
+``add_block``:
 
 1. clusters the block incrementally (H1 unions + live H2 labels),
 2. folds balances, taint frontiers, and activity into warm state,
@@ -13,13 +14,13 @@ fan-out, so every ``add_block``:
    height).
 
 Queries then run against warm state instead of re-walking the chain:
-``cluster_of`` reads the memoized tip partition, ``balance_of`` indexes
-a dense array, ``trace_taint`` snapshots a live frontier, and the
-cluster aggregates behind ``top_clusters``/``cluster_profile`` are
-built once per height and shared.  ``benchmarks/bench_query_service.py``
-pins the payoff: a mixed 100+-query workload answered warm beats the
-equivalent cold batch recomputations by well over an order of
-magnitude.
+``balance_of`` indexes a dense array, ``trace_taint`` snapshots a live
+frontier, and every cluster question reads the differential
+:class:`~repro.service.aggregates.ClusterAggregateView` — its live
+state at the tip, its ``horizon(h)`` replay for past heights.
+``benchmarks/bench_query_service.py`` pins the payoff: a mixed
+100+-query workload answered warm beats the equivalent cold batch
+recomputations by well over an order of magnitude.
 
 Construction catches up on whatever the index already holds, so the
 service can be stood up against a fully ingested chain or attached at
@@ -56,8 +57,6 @@ class ForensicsService:
         name_of_address=None,
         min_taint: float = 1.0,
         cache_size: int = 4096,
-        differential_aggregates: bool = True,
-        time_travel: bool = True,
         metrics=None,
         log=None,
     ) -> None:
@@ -66,17 +65,6 @@ class ForensicsService:
         condition.  The taint namer must be *stable over chain growth*
         for streamed state to equal batch recomputation, so it defaults
         to direct tag lookups — not height-dependent cluster naming.
-
-        ``differential_aggregates=False`` skips the
-        :class:`~repro.service.aggregates.ClusterAggregateView`, forcing
-        every cluster query onto the batch ``_agg`` rebuild path — the
-        benchmark baseline and the fallback-path test fixture; such a
-        service cannot be snapshotted.
-
-        ``time_travel=False`` keeps the differential view but drops its
-        per-height delta log, so historical-horizon queries fall back
-        to the batch ``_agg@h`` rebuild — the time-travel benchmark
-        baseline.
 
         ``metrics`` is an optional
         :class:`~repro.obs.MetricsRegistry`: when given (and enabled)
@@ -111,15 +99,8 @@ class ForensicsService:
         # The aggregate view folds each block's merge deltas, so it must
         # observe blocks after the engine (subscription order is
         # registration order).
-        self.aggregates = (
-            ClusterAggregateView(
-                index,
-                engine=self.engine,
-                time_travel=time_travel,
-                metrics=self.metrics,
-            )
-            if differential_aggregates
-            else None
+        self.aggregates = ClusterAggregateView(
+            index, engine=self.engine, metrics=self.metrics
         )
         self.balances = BalanceView(index, metrics=self.metrics)
         self.activity = ActivityView(index, metrics=self.metrics)
@@ -200,8 +181,7 @@ class ForensicsService:
     def detach(self) -> None:
         """Stop following the index (state freezes at current height)."""
         self.engine.detach()
-        if self.aggregates is not None:
-            self.aggregates.detach()
+        self.aggregates.detach()
         self.balances.detach()
         self.activity.detach()
         self.taint.detach()
@@ -247,8 +227,8 @@ class ForensicsService:
         """Reassemble a service from restored component states.
 
         ``states`` maps component names (``service``, ``engine``,
-        ``balances``, ``activity``, ``taint``) to their exported state
-        dicts; ``index`` must be the restored chain at the snapshot
+        ``aggregates``, ``timetravel``, ``balances``, ``activity``,
+        ``taint``) to their exported state dicts; ``index`` must be the restored chain at the snapshot
         height.  Components subscribe to the index in the same order as
         :meth:`__init__`, so a restored service streams tail blocks
         exactly like the one that was snapshotted.
@@ -284,6 +264,7 @@ class ForensicsService:
         service.aggregates = ClusterAggregateView.from_state(
             index,
             states["aggregates"],
+            states["timetravel"],
             engine=service.engine,
             follow=follow,
             metrics=service.metrics,
@@ -294,17 +275,6 @@ class ForensicsService:
         service.activity = ActivityView.from_state(
             index, states["activity"], follow=follow, metrics=service.metrics
         )
-        timetravel_state = states.get("timetravel")
-        if timetravel_state is not None:
-            service.aggregates.load_time_travel(timetravel_state)
-        else:
-            # Pre-v4 snapshots carry no delta log: re-seed the horizon
-            # base at the restored height, so time travel covers the
-            # tail streamed from here on while heights below the
-            # snapshot stay on the batch ``_agg@h`` fallback.
-            service.aggregates.seed_time_travel_base(
-                service.balances, service.activity
-            )
         tag_map = tags.as_mapping() if tags is not None else {}
         service.taint = TaintView.from_state(
             index,
@@ -381,8 +351,7 @@ class ForensicsService:
             "addresses": self.index.address_count,
             "clusters": (
                 self.aggregates.cluster_count
-                if self.aggregates is not None
-                and self.aggregates.height == self.height
+                if self.aggregates.height == self.height
                 else None
             ),
             "taint_cases": len(self.taint.labels),

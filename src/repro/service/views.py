@@ -49,13 +49,22 @@ from ..analysis.taint import TaintResult, TaintTracker, taint_step
 from ..chain.delta import BlockDelta
 from ..chain.index import ChainIndex
 from ..chain.model import OutPoint
-from ..core.arrays import IntVector, as_int64
+from ..core.arrays import IntVector
 from ..obs import NULL_REGISTRY
 
 
 def _frombytes(buffer: bytes) -> np.ndarray:
     """Read-only int64 array over snapshot bytes (zero copy)."""
     return np.frombuffer(buffer, dtype="<i8")
+
+
+def _check_state_version(cls, state: dict) -> None:
+    """Fail closed on any view state but the version-2 bytes shape."""
+    if state.get("version") != 2:
+        raise ValueError(
+            f"unsupported {cls.__name__} state version "
+            f"{state.get('version')!r} (expected 2); rebuild cold"
+        )
 
 
 class MaterializedView:
@@ -151,8 +160,7 @@ class BalanceView(MaterializedView):
     iterating every address record and every block per call, the
     analyzer replays this view's compact event log (pass the view via
     ``BalanceAnalyzer(..., view=...)``).  Point queries
-    (:meth:`balance_of`, :meth:`cluster_balances`) read the dense
-    balance array directly.
+    (:meth:`balance_of`) read the dense balance array directly.
 
     The fold is kernelized by default: one ``np.add.at`` scatter of the
     delta's columnar event buffers into an :class:`IntVector` grown once
@@ -238,29 +246,18 @@ class BalanceView(MaterializedView):
     ) -> "BalanceView":
         """Rebuild a view from :meth:`export_state` output, no catch-up.
 
-        Accepts both the version-2 bytes shape and the pre-columnar
-        version-1 list shape, so old snapshots stay restorable.
+        Only the version-2 bytes shape is accepted; the pre-columnar
+        version-1 list shape fails closed (rebuild cold).
         """
+        _check_state_version(cls, state)
         view = cls.__new__(cls)
         view.metrics = metrics if metrics is not None else NULL_REGISTRY
         view._use_kernels = use_kernels
-        if state.get("version", 1) >= 2:
-            view._balances = IntVector.from_bytes(state["balances"])
-            view._events = [
-                (_frombytes(ids), _frombytes(values))
-                for ids, values in zip(
-                    state["events_ids"], state["events_values"]
-                )
-            ]
-        else:
-            view._balances = IntVector.from_list(state["balances"])
-            view._events = [
-                (
-                    as_int64([event[0] for event in events]),
-                    as_int64([event[1] for event in events]),
-                )
-                for events in state["events"]
-            ]
+        view._balances = IntVector.from_bytes(state["balances"])
+        view._events = [
+            (_frombytes(ids), _frombytes(values))
+            for ids, values in zip(state["events_ids"], state["events_values"])
+        ]
         view._coinbase = list(state["coinbase"])
         view._supply = list(state["supply"])
         view._adopt(index, state["height"], follow)
@@ -296,27 +293,6 @@ class BalanceView(MaterializedView):
         """The ``(address id, delta)`` log for one height (Python ints)."""
         ids, values = self._events[height]
         return list(zip(ids.tolist(), values.tolist()))
-
-    def cluster_balances(self, partition) -> dict[int, int]:
-        """``cluster root -> summed member balance`` in one array pass.
-
-        ``partition`` is an
-        :class:`~repro.core.clustering.InternedPartition` (or anything
-        with an id-keyed ``find_root``); addresses the partition has not
-        seen keep their balance out of every cluster.
-        """
-        find_root = partition.find_root
-        out: dict[int, int] = {}
-        balances = self._balances.array
-        nonzero = np.nonzero(balances)[0]
-        for ident, balance in zip(
-            nonzero.tolist(), balances[nonzero].tolist()
-        ):
-            root = find_root(ident)
-            if root is None:
-                continue
-            out[root] = out.get(root, 0) + balance
-        return out
 
 
 @dataclass
@@ -622,20 +598,16 @@ class ActivityView(MaterializedView):
     ) -> "ActivityView":
         """Rebuild a view from :meth:`export_state` output, no catch-up.
 
-        Accepts both the version-2 bytes shape and the pre-columnar
-        version-1 list shape, so old snapshots stay restorable.
+        Only the version-2 bytes shape is accepted; the pre-columnar
+        version-1 list shape fails closed (rebuild cold).
         """
+        _check_state_version(cls, state)
         view = cls.__new__(cls)
         view.metrics = metrics if metrics is not None else NULL_REGISTRY
         view._use_kernels = use_kernels
-        if state.get("version", 1) >= 2:
-            view._tx_counts = IntVector.from_bytes(state["tx_counts"])
-            view._first_seen = IntVector.from_bytes(state["first_seen"])
-            view._last_seen = IntVector.from_bytes(state["last_seen"])
-        else:
-            view._tx_counts = IntVector.from_list(state["tx_counts"])
-            view._first_seen = IntVector.from_list(state["first_seen"])
-            view._last_seen = IntVector.from_list(state["last_seen"])
+        view._tx_counts = IntVector.from_bytes(state["tx_counts"])
+        view._first_seen = IntVector.from_bytes(state["first_seen"])
+        view._last_seen = IntVector.from_bytes(state["last_seen"])
         view._adopt(index, state["height"], follow)
         return view
 
@@ -652,36 +624,3 @@ class ActivityView(MaterializedView):
         if 0 <= ident < len(self._first_seen) and self._first_seen[ident] >= 0:
             return self._first_seen[ident], self._last_seen[ident]
         return None
-
-    def cluster_activity(self, partition) -> dict[int, ClusterActivity]:
-        """``cluster root -> ClusterActivity`` in one array pass."""
-        find_root = partition.find_root
-        counts: dict[int, int] = {}
-        first: dict[int, int] = {}
-        last: dict[int, int] = {}
-        count_arr = self._tx_counts.array
-        first_arr = self._first_seen.array
-        last_arr = self._last_seen.array
-        nonzero = np.nonzero(count_arr)[0]
-        for ident, count, seen_first, seen_last in zip(
-            nonzero.tolist(),
-            count_arr[nonzero].tolist(),
-            first_arr[nonzero].tolist(),
-            last_arr[nonzero].tolist(),
-        ):
-            root = find_root(ident)
-            if root is None:
-                continue
-            counts[root] = counts.get(root, 0) + count
-            if root not in first or seen_first < first[root]:
-                first[root] = seen_first
-            if root not in last or seen_last > last[root]:
-                last[root] = seen_last
-        return {
-            root: ClusterActivity(
-                tx_count=counts[root],
-                first_seen=first[root],
-                last_seen=last[root],
-            )
-            for root in counts
-        }

@@ -25,7 +25,6 @@ from .manifest import SnapshotManifest, read_manifest, write_manifest
 from .segments import read_segment, write_segment
 from .store import (
     COMPONENTS,
-    OPTIONAL_COMPONENTS,
     SnapshotPolicy,
     StateStore,
     WarmStart,
@@ -33,7 +32,6 @@ from .store import (
 
 __all__ = [
     "COMPONENTS",
-    "OPTIONAL_COMPONENTS",
     "NoSnapshotError",
     "SnapshotIntegrityError",
     "SnapshotManifest",

@@ -27,19 +27,20 @@ from .errors import SnapshotIntegrityError
 MANIFEST_NAME = "MANIFEST.json"
 MANIFEST_FORMAT = "repro-state-snapshot"
 MANIFEST_VERSION = 4
-"""Snapshot layout version.  2 added the ``aggregates`` segment (the
-differential cluster-aggregate view) and the engine's settled-label
-field; version-1 snapshots are rejected rather than part-restored.
-3 switched the dense per-id view/engine arrays to raw int64 bytes
-buffers inside the segments — the component ``from_state`` readers
-accept both shapes, so version-2 snapshots stay restorable
-(:data:`SUPPORTED_VERSIONS`).  4 added the *optional* ``timetravel``
-segment (the aggregate view's per-height delta log, horizon base, and
-checkpoint spine anchor); v2/v3 snapshots restore without it — the
-restored service re-seeds its time-travel base at the snapshot height
-instead of recovering the full historical log."""
+"""Snapshot layout version.  Version history: 2 added the
+``aggregates`` segment (the differential cluster-aggregate view) and
+the engine's settled-label field; 3 switched the dense per-id
+view/engine arrays to raw int64 bytes buffers inside the segments; 4
+added the ``timetravel`` segment (the aggregate view's per-height delta
+log and genesis horizon base), which every cluster question below the
+tip reads.
 
-SUPPORTED_VERSIONS = frozenset({2, 3, MANIFEST_VERSION})
+Only version 4 is read.  A snapshot is a cache of state the service
+re-derives from ``blk*.dat``, so an older manifest fails closed with a
+hint to rebuild cold rather than restoring into a service that cannot
+answer historical horizons."""
+
+SUPPORTED_VERSIONS = frozenset({MANIFEST_VERSION})
 """Manifest versions :func:`read_manifest` accepts."""
 
 
@@ -98,8 +99,13 @@ def read_manifest(directory: str | os.PathLike[str]) -> SnapshotManifest:
         raise bad(f"unreadable ({exc})") from exc
     if raw.get("format") != MANIFEST_FORMAT:
         raise bad(f"unknown format {raw.get('format')!r}")
-    if raw.get("format_version") not in SUPPORTED_VERSIONS:
-        raise bad(f"unsupported format version {raw.get('format_version')!r}")
+    version = raw.get("format_version")
+    if version not in SUPPORTED_VERSIONS:
+        raise bad(
+            f"unsupported format version {version!r} (this build reads "
+            f"only version {MANIFEST_VERSION}); snapshots are re-derivable "
+            f"from the block files, so rebuild cold"
+        )
     try:
         return SnapshotManifest(
             height=int(raw["height"]),

@@ -57,19 +57,15 @@ COMPONENTS = (
     "chain",
     "engine",
     "aggregates",
+    "timetravel",
     "balances",
     "activity",
     "taint",
     "service",
 )
-"""Segment names, one per durable component of a forensics service."""
-
-OPTIONAL_COMPONENTS = ("timetravel",)
-"""Segments a manifest may list but does not have to: ``timetravel``
-(manifest v4) carries the aggregate view's per-height delta log and
-horizon base.  A snapshot without it (v2/v3, or a view built with
-``time_travel=False``) restores fine — historical horizons below the
-snapshot height just fall back to the batch rebuild."""
+"""Segment names, one per durable component of a forensics service
+(``timetravel`` is the aggregate view's per-height delta log and
+horizon base)."""
 
 
 @contextmanager
@@ -156,12 +152,6 @@ class StateStore:
         height = service.height
         if height < 0:
             raise StorageError("cannot snapshot a service with no blocks")
-        if service.aggregates is None:
-            raise StorageError(
-                "cannot snapshot a service built with "
-                "differential_aggregates=False; the aggregates segment "
-                "is part of the snapshot format"
-            )
         for name, component_height in (
             ("engine", service.engine.height),
             ("aggregates", service.aggregates.height),
@@ -227,11 +217,14 @@ class StateStore:
 
     @staticmethod
     def _write_segments(scratch: Path, service: ForensicsService) -> dict:
-        segments = {
+        return {
             "chain": write_segment(scratch, "chain", service.index.export_state()),
             "engine": write_segment(scratch, "engine", service.engine.export_state()),
             "aggregates": write_segment(
                 scratch, "aggregates", service.aggregates.export_state()
+            ),
+            "timetravel": write_segment(
+                scratch, "timetravel", service.aggregates.export_time_travel()
             ),
             "balances": write_segment(
                 scratch, "balances", service.balances.export_state()
@@ -242,12 +235,6 @@ class StateStore:
             "taint": write_segment(scratch, "taint", service.taint.export_state()),
             "service": write_segment(scratch, "service", service.export_state()),
         }
-        timetravel = service.aggregates.export_time_travel()
-        if timetravel is not None:
-            segments["timetravel"] = write_segment(
-                scratch, "timetravel", timetravel
-            )
-        return segments
 
     # ------------------------------------------------------------------
     # discovery / retention
@@ -332,16 +319,6 @@ class StateStore:
                         expected_sha256=record["sha256"],
                     )
                     total_bytes += record.get("bytes", 0)
-                for name in OPTIONAL_COMPONENTS:
-                    record = snapshot.segments.get(name)
-                    if record is None:
-                        continue  # pre-v4 snapshot, or time travel off
-                    states[name] = read_segment(
-                        directory / record["file"],
-                        expected_name=name,
-                        expected_sha256=record["sha256"],
-                    )
-                    total_bytes += record.get("bytes", 0)
                 index = ChainIndex.restore_state(states["chain"])
             if index.height != snapshot.height:
                 raise SnapshotIntegrityError(
@@ -401,11 +378,9 @@ class StateStore:
         """
         directory = snapshot.directory
         problems: list[str] = []
-        for name in COMPONENTS + OPTIONAL_COMPONENTS:
+        for name in COMPONENTS:
             record = snapshot.segments.get(name)
             if record is None:
-                if name in OPTIONAL_COMPONENTS:
-                    continue  # pre-v4 snapshot, or time travel off
                 problems.append(f"manifest lists no {name!r} segment")
                 continue
             try:
@@ -485,13 +460,15 @@ class SnapshotPolicy:
         if self._unsubscribe is not None:
             raise StorageError("policy is already attached")
 
-        def _on_block(block) -> None:
-            if (block.height + 1) % self.every == 0:
+        def _on_delta(delta) -> None:
+            if (delta.block.height + 1) % self.every == 0:
                 self.store.snapshot(service)
                 self.snapshots_taken += 1
                 self.store.prune(self.retain)
 
-        self._unsubscribe = service.index.subscribe(_on_block)
+        self._unsubscribe = service.index.subscribe_deltas(
+            _on_delta, name="snapshot_policy"
+        )
         return self
 
     def detach(self) -> None:

@@ -38,22 +38,18 @@ class TestDeltaFanOut:
         target = ChainIndex()
         calls = []
         target.subscribe_deltas(lambda delta: calls.append(("a", delta)))
-        target.subscribe(lambda block: calls.append(("legacy", block)))
         target.subscribe_deltas(lambda delta: calls.append(("b", delta)))
         blocks = self._source_blocks(2)
         for block in blocks:
             target.add_block(block)
-        assert [(tag, type(payload).__name__) for tag, payload in calls] == [
-            ("a", "BlockDelta"), ("legacy", "Block"), ("b", "BlockDelta"),
-            ("a", "BlockDelta"), ("legacy", "Block"), ("b", "BlockDelta"),
-        ]
+        assert [tag for tag, _delta in calls] == ["a", "b", "a", "b"]
         for height in (0, 1):
-            first, legacy, second = calls[3 * height: 3 * height + 3]
+            first, second = calls[2 * height: 2 * height + 2]
             # One shared plan per block: the identical object to every
-            # delta subscriber, its block to the legacy shim.
+            # subscriber, carrying the ingested block itself.
             assert first[1] is second[1]
             assert isinstance(first[1], BlockDelta)
-            assert legacy[1] is first[1].block
+            assert first[1].block is blocks[height]
             assert first[1].height == height
 
     def test_raising_delta_subscriber_isolated_and_reraised(self):

@@ -179,8 +179,8 @@ class TestObserverFanOut:
     def test_subscribers_observe_in_registration_order(self):
         target = ChainIndex()
         calls = []
-        target.subscribe(lambda block: calls.append(("a", block.height)))
-        target.subscribe(lambda block: calls.append(("b", block.height)))
+        target.subscribe_deltas(lambda delta: calls.append(("a", delta.height)))
+        target.subscribe_deltas(lambda delta: calls.append(("b", delta.height)))
         for block in self._source_blocks(2):
             target.add_block(block)
         assert calls == [("a", 0), ("b", 0), ("a", 1), ("b", 1)]
@@ -189,11 +189,11 @@ class TestObserverFanOut:
         target = ChainIndex()
         seen = []
 
-        def explode(block):
-            raise RuntimeError(f"boom at {block.height}")
+        def explode(delta):
+            raise RuntimeError(f"boom at {delta.height}")
 
-        target.subscribe(explode)
-        target.subscribe(lambda block: seen.append(block.height))
+        target.subscribe_deltas(explode)
+        target.subscribe_deltas(lambda delta: seen.append(delta.height))
         blocks = self._source_blocks(2)
         with pytest.raises(RuntimeError, match="boom at 0"):
             target.add_block(blocks[0])
@@ -207,14 +207,14 @@ class TestObserverFanOut:
     def test_all_failures_reported_on_first_exception(self):
         target = ChainIndex()
 
-        def explode_a(block):
+        def explode_a(delta):
             raise RuntimeError("first")
 
-        def explode_b(block):
+        def explode_b(delta):
             raise ValueError("second")
 
-        target.subscribe(explode_a)
-        target.subscribe(explode_b)
+        target.subscribe_deltas(explode_a)
+        target.subscribe_deltas(explode_b)
         with pytest.raises(RuntimeError, match="first") as excinfo:
             target.add_block(self._source_blocks(1)[0])
         notes = getattr(excinfo.value, "__notes__", [])
@@ -225,14 +225,14 @@ class TestObserverFanOut:
         seen = []
         unsubscribe_b = None
 
-        def observer_a(block):
+        def observer_a(delta):
             unsubscribe_b()
 
-        def observer_b(block):
-            seen.append(block.height)
+        def observer_b(delta):
+            seen.append(delta.height)
 
-        target.subscribe(observer_a)
-        unsubscribe_b = target.subscribe(observer_b)
+        target.subscribe_deltas(observer_a)
+        unsubscribe_b = target.subscribe_deltas(observer_b)
         blocks = self._source_blocks(2)
         target.add_block(blocks[0])
         # b was registered when the fan-out for block 0 snapshotted the
@@ -245,14 +245,14 @@ class TestObserverFanOut:
         target = ChainIndex()
         seen = []
 
-        def late_observer(block):
-            seen.append(block.height)
+        def late_observer(delta):
+            seen.append(delta.height)
 
-        def observer_a(block):
-            if block.height == 0:
-                target.subscribe(late_observer)
+        def observer_a(delta):
+            if delta.height == 0:
+                target.subscribe_deltas(late_observer)
 
-        target.subscribe(observer_a)
+        target.subscribe_deltas(observer_a)
         blocks = self._source_blocks(2)
         target.add_block(blocks[0])
         assert seen == []  # subscribed during block 0's fan-out

@@ -107,3 +107,20 @@ class TestCorruptionDetected:
             "unreadable or missing manifest" in problem
             for problem in report.problems
         )
+
+    def test_pre_v4_snapshot_names_version_and_rebuild(self, state_dir):
+        """A v3 snapshot fails closed: the doctor says which version it
+        found and that the remedy is a cold rebuild."""
+        manifest = sorted(
+            (state_dir / "snapshots").glob("snap-*/MANIFEST.json")
+        )[0]
+        raw = json.loads(manifest.read_text())
+        raw["format_version"] = 3
+        manifest.write_text(json.dumps(raw))
+        report = run_doctor(state_dir)
+        assert not report.ok
+        assert any(
+            "unsupported format version 3" in problem
+            and "rebuild cold" in problem
+            for problem in report.problems
+        ), report.problems

@@ -41,14 +41,20 @@ class TestComponentGrading:
         assert report.component("chain").status == DEGRADED
         assert report.status == DEGRADED
 
-    def test_batch_fallback_aggregates_degraded(self):
-        world = scenarios.micro_economy(seed=3)
-        service = ForensicsService.from_world(
-            world, differential_aggregates=False
-        )
+    def test_detached_aggregates_failing(self):
+        """The view is the only path cluster questions take, so a view
+        left behind the tip (detached) fails the component."""
+        world = scenarios.micro_economy(seed=3, n_blocks=12)
+        target = ChainIndex()
+        service = ForensicsService(target, tags=None)
+        for block in world.blocks[:10]:
+            target.add_block(block)
+        assert collect_health(service).component("aggregates").status == OK
+        service.aggregates.detach()
+        target.add_block(world.blocks[10])
         entry = collect_health(service).component("aggregates")
-        assert entry.status == DEGRADED
-        assert "batch fallback" in entry.summary
+        assert entry.status == FAILING
+        assert entry.summary == "view at height 9, chain at 10"
 
     def test_open_label_backlog_threshold(self):
         service = _service()

@@ -1,10 +1,10 @@
-"""Differential cluster aggregates == batch ``_agg`` rebuild, per height.
+"""Differential cluster aggregates == the batch oracle, per height.
 
-The tentpole property, in the PR 1/PR 2 style: stream a world's chain
-block by block with the :class:`ClusterAggregateView` folding deltas,
-and at *every* height compare its state against the batch full rebuild
-over the tip partition — per-cluster balances, activity, sizes, and the
-complete :class:`ClusterRanking` order for every metric in
+Stream a world's chain block by block with the
+:class:`ClusterAggregateView` folding deltas, and at *every* height
+compare its state against the batch full rebuild over the tip partition
+(``tests/batch_oracle.py``) — per-cluster balances, activity, sizes,
+and the complete :class:`ClusterRanking` order for every metric in
 ``TOP_CLUSTER_METRICS``.  Cluster identity is canonical (minimum member
 address id), so equality here is exact object equality, not merely
 shape-compatible.
@@ -21,54 +21,29 @@ from hypothesis import strategies as st
 import pytest
 
 from repro.chain.index import ChainIndex
-from repro.service import ClusterAggregateView, ClusterRanking, ForensicsService, Query
+from repro.service import ForensicsService, Query
+from repro.service.aggregates import RankIndex
 from repro.service.queries import TOP_CLUSTER_METRICS
-from repro.simulation import scenarios
+from repro.simulation import large_scale_blocks, scenarios
 
-
-def batch_cluster_aggregates(service):
-    """The batch full-rebuild ground truth at the service's tip, keyed
-    by canonical cluster id: (sizes, balances, activity)."""
-    uf = service.clustering.uf
-    canonical: dict[int, int] = {}
-    for ident in range(len(uf)):
-        canonical.setdefault(uf.find_root(ident), ident)
-    sizes = {
-        canonical[root]: size
-        for root, size in uf.component_sizes().items()
-    }
-    balances = {
-        canonical[root]: balance
-        for root, balance in service.balances.cluster_balances(uf).items()
-    }
-    activity = {
-        canonical[root]: rollup
-        for root, rollup in service.activity.cluster_activity(uf).items()
-    }
-    return sizes, balances, activity
-
-
-def batch_ranking(metric: dict) -> ClusterRanking:
-    order = tuple(sorted(metric.items(), key=lambda kv: (-kv[1], kv[0])))
-    return ClusterRanking(
-        order=order,
-        rank_of={cid: rank for rank, (cid, _v) in enumerate(order, 1)},
-    )
+from tests.batch_oracle import BatchOracle
 
 
 def assert_view_equals_batch(service):
     view = service.aggregates
     assert view.height == service.height
-    sizes, balances, activity = batch_cluster_aggregates(service)
-    assert view.ranking("size") == batch_ranking(sizes)
-    assert view.ranking("balance") == batch_ranking(balances)
-    assert view.ranking("activity") == batch_ranking(
-        {cid: rollup.tx_count for cid, rollup in activity.items()}
-    )
-    for cid, size in sizes.items():
+    oracle = BatchOracle.of(service)
+    tip = service.height
+    for by in TOP_CLUSTER_METRICS:
+        assert view.ranking(by) == oracle.ranking(by)
+    canonical = oracle.canonical(tip)
+    balances = oracle.cluster_balances(tip)
+    activity = oracle.cluster_activity(tip)
+    for root, size in oracle.clustering(tip).component_sizes().items():
+        cid = canonical[root]
         assert view.size_of_cluster(cid) == size
-        assert view.balance_of_cluster(cid) == balances.get(cid, 0)
-        assert view.activity_of_cluster(cid) == activity.get(cid)
+        assert view.balance_of_cluster(cid) == balances.get(root, 0)
+        assert view.activity_of_cluster(cid) == activity.get(root)
 
 
 class TestDifferentialEqualsBatchAtEveryHeight:
@@ -91,19 +66,14 @@ class TestDifferentialEqualsBatchAtEveryHeight:
     def test_default_world_with_tags(self, micro_world):
         """One full-roster streamed pass with naming in play: every
         cluster-level answer is byte-equal between the differential
-        path and a batch-only service, at every height."""
+        view and the batch oracle, at every height."""
         attack = micro_world.extras.get("attack")
         tags = attack.tags if attack is not None else None
-        diff_index, batch_index = ChainIndex(), ChainIndex()
+        diff_index = ChainIndex()
         diff = ForensicsService(diff_index, tags=tags)
-        batch = ForensicsService(
-            batch_index, tags=tags, differential_aggregates=False
-        )
-        assert diff.aggregates is not None
-        assert batch.aggregates is None
+        batch = BatchOracle.of(diff)
         for block in micro_world.blocks[:48]:
             diff_index.add_block(block)
-            batch_index.add_block(block)
             for by in TOP_CLUSTER_METRICS:
                 query = Query("top_clusters", (20, by))
                 assert repr(diff.answer(query)) == repr(batch.answer(query))
@@ -119,6 +89,65 @@ class TestDifferentialEqualsBatchAtEveryHeight:
                     assert repr(diff.answer(query)) == repr(
                         batch.answer(query)
                     ), (block.height, kind, address)
+
+
+class TestRankIndexBackings:
+    """:meth:`RankIndex.apply` keeps two backings: a bulk batch stores
+    lexsorted columns, a small one edits a sorted key list that is
+    created on the first small mutation."""
+
+    def test_bulk_first_flush_then_per_block_flushes(self):
+        """A coalesced first flush over a 40-block prefix takes the bulk
+        (array) branch for every metric; each later per-block flush
+        takes the small (list) branch.  The view equals the oracle at
+        every height across the switch."""
+        blocks = list(large_scale_blocks(70, seed=11))
+        target = ChainIndex()
+        service = ForensicsService(target, tags=None)
+        view = service.aggregates
+        for block in blocks[:40]:
+            target.add_block(block)
+        assert view.pending_blocks == 40
+        assert_view_equals_batch(service)
+        for by in TOP_CLUSTER_METRICS:
+            rank_index = view._ranks[by]
+            assert rank_index._neg is not None, by
+            assert len(rank_index) >= 8 * 64, by  # large enough to matter
+        for block in blocks[40:]:
+            target.add_block(block)
+            assert_view_equals_batch(service)
+        for by in TOP_CLUSTER_METRICS:
+            rank_index = view._ranks[by]
+            assert rank_index._neg is None, by
+            assert len(rank_index._keys) == len(rank_index._values) > 0
+
+    @settings(deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(0, 300), max_size=40),
+                st.dictionaries(
+                    st.integers(0, 300), st.integers(1, 9), max_size=200
+                ),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_apply_equals_sorted_reference(self, batches):
+        """Any mix of bulk and small batches serves exactly the order a
+        from-scratch sort of the surviving ``(id, value)`` map gives."""
+        rank_index = RankIndex()
+        reference: dict[int, int] = {}
+        for discards, updates in batches:
+            rank_index.apply(discards, list(updates.items()))
+            for cluster_id in discards:
+                reference.pop(cluster_id, None)
+            reference.update(updates)
+            order = sorted(reference.items(), key=lambda kv: (-kv[1], kv[0]))
+            assert rank_index.top(len(order) + 1) == tuple(order)
+            for rank, (cluster_id, _value) in enumerate(order, 1):
+                assert rank_index.rank_of(cluster_id) == rank
 
 
 class TestIncrementalClusterNames:
@@ -230,35 +259,33 @@ class TestMergeHookAndTimeTravel:
 
 
 class TestFallbackBelowLiveHeight:
-    def test_detached_view_falls_back_to_batch_rebuild(self, micro_world):
-        """A view frozen below the tip must not serve stale rankings:
-        the query engine falls back to the batch ``_agg`` rebuild and
-        still answers exactly."""
-        source = micro_world.index
+    """There is no second serving path: a view that stopped following
+    the chain cannot answer cluster questions at all."""
+
+    def test_detached_view_raises(self, micro_world):
+        """A view frozen below the tip must not serve stale rankings or
+        stale history: every cluster kind raises a clear error, while
+        the kinds that do not read the view keep answering."""
         target = ChainIndex()
         service = ForensicsService(target, tags=None)
-        reference = ForensicsService(
-            ChainIndex(), tags=None, differential_aggregates=False
-        )
         for block in micro_world.blocks[:20]:
             target.add_block(block)
-            reference.index.add_block(block)
         service.aggregates.detach()
         for block in micro_world.blocks[20:24]:
             target.add_block(block)
-            reference.index.add_block(block)
         assert service.aggregates.height == 19
         assert service.height == 23
-        assert service.queries._live_aggregates() is None
-        for by in TOP_CLUSTER_METRICS:
-            assert service.top_clusters(10, by=by) == reference.top_clusters(
-                10, by=by
-            )
-        # The fallback built the batch aggregates under _agg:* keys.
-        assert (
-            service.height,
-            Query("_agg:ranking:size"),
-        ) in service.cache
+        address = target.interner.address_of(0)
+        for query in (
+            Query("top_clusters", (10, "size")),
+            Query("top_clusters", (10, "size", 5)),
+            Query("cluster_of", (address,)),
+            Query("cluster_balance", (address, 5)),
+            Query("cluster_profile", (address,)),
+        ):
+            with pytest.raises(RuntimeError, match="detached"):
+                service.answer(query)
+        assert service.balance_of(address) == target.address(address).balance
 
     def test_stats_report_cluster_count_only_when_live(self, micro_world):
         target = ChainIndex()

@@ -21,6 +21,8 @@ from repro.service.aggregates import ClusterAggregateView, TOP_CLUSTER_METRICS
 from repro.service.views import ActivityView, BalanceView
 from repro.simulation import large_scale_blocks
 
+from tests.batch_oracle import cluster_balances
+
 
 def _chain(seed, n_blocks, txs_per_block, reuse):
     return list(
@@ -79,8 +81,8 @@ class TestViewKernelsMatchScalar:
             find_root = staticmethod(lambda ident: ident)
 
         identity = _IdentityPartition()
-        assert bal_k.cluster_balances(identity) == bal_s.cluster_balances(
-            identity
+        assert cluster_balances(bal_k, identity) == cluster_balances(
+            bal_s, identity
         )
 
 

@@ -9,6 +9,7 @@ from repro.service import ForensicsService, Query, parse_query
 from repro.service.cache import QueryCache
 from repro.simulation import scenarios
 
+from tests.batch_oracle import BatchOracle
 from tests.helpers import addr, build_chain, coinbase, spend
 
 
@@ -213,43 +214,39 @@ class TestCacheBehaviour:
 
 class TestSharedRankingIndex:
     """top_clusters and cluster_profile share one sorted index per
-    (height, metric) instead of re-ranking per distinct (n, by) pair.
-
-    Pins the *batch fallback* path (``differential_aggregates=False``):
-    with the live aggregate view attached, rankings come from its
-    per-metric indexes and the ``_agg:ranking:*`` entries are never
-    built (tests/service/test_cluster_aggregates.py pins both paths
-    equal)."""
+    (height, metric) — the aggregate view's per-metric
+    :class:`~repro.service.aggregates.RankIndex` — instead of re-ranking
+    per distinct (n, by) pair; every ranking equals the batch oracle's
+    (tests/batch_oracle.py)."""
 
     def test_distinct_n_share_one_ranking(self, small_world):
-        service = ForensicsService(
-            small_world.index, differential_aggregates=False
-        )
+        service = ForensicsService(small_world.index)
         five = service.top_clusters(5, by="size")
-        key = (service.height, Query("_agg:ranking:size"))
-        assert key in service.cache
         misses_after_build = service.cache.misses
         ten = service.top_clusters(10, by="size")
         twenty = service.top_clusters(20, by="size")
         # Different n answers are prefixes of the same shared order...
         assert ten[:5] == five
         assert twenty[:10] == ten
-        # ...and no second ranking aggregate was ever built: the only
-        # misses after the first build are the new (n, by) answer keys.
+        assert [
+            (cid, value) for cid, value, _name in twenty
+        ] == list(BatchOracle.of(service).ranking("size").top(20))
+        # ...and nothing but the new (n, by) answer keys missed.
         assert service.cache.misses == misses_after_build + 2
 
     def test_each_metric_gets_its_own_ranking(self, small_world):
-        service = ForensicsService(
-            small_world.index, differential_aggregates=False
-        )
+        service = ForensicsService(small_world.index)
+        oracle = BatchOracle.of(service)
         for by in ("size", "balance", "activity"):
-            assert service.top_clusters(3, by=by)
-            assert (service.height, Query(f"_agg:ranking:{by}")) in service.cache
+            answered = service.top_clusters(3, by=by)
+            assert answered
+            assert [
+                (cid, value) for cid, value, _name in answered
+            ] == list(oracle.ranking(by).top(3))
+            assert service.aggregates.ranking(by) == oracle.ranking(by)
 
     def test_ranking_matches_direct_sort(self, small_world):
-        service = ForensicsService(
-            small_world.index, differential_aggregates=False
-        )
+        service = ForensicsService(small_world.index)
         uf = service.clustering.uf
         canonical: dict[int, int] = {}
         for ident in range(len(uf)):
@@ -265,9 +262,7 @@ class TestSharedRankingIndex:
         assert answered == expected
 
     def test_profile_rank_reads_shared_index(self, small_world):
-        service = ForensicsService(
-            small_world.index, differential_aggregates=False
-        )
+        service = ForensicsService(small_world.index)
         ranked = service.top_clusters(1, by="size")
         top_cluster = ranked[0][0]
         # The canonical id is itself a member id of the cluster.
@@ -275,14 +270,26 @@ class TestSharedRankingIndex:
         profile = service.cluster_profile(member)
         assert profile["cluster_rank"] == 1
         assert profile["cluster"] == top_cluster
+        assert profile == BatchOracle.of(service).answer(
+            Query("cluster_profile", (member,))
+        )
 
     def test_unknown_metric_still_rejected(self, small_world):
-        for differential in (False, True):
-            service = ForensicsService(
-                small_world.index, differential_aggregates=differential
-            )
-            with pytest.raises(ValueError, match="metric"):
-                service.answer(Query("top_clusters", (3, "charisma")))
+        service = ForensicsService(small_world.index)
+        with pytest.raises(ValueError, match="metric"):
+            service.answer(Query("top_clusters", (3, "charisma")))
+
+    @pytest.mark.parametrize("n", [-1, 2.5, True, "3"])
+    def test_bad_count_rejected(self, n):
+        """A negative count would slice off the ranking's tail (411 of
+        412 clusters for ``n=-1``) and a float would raise ``TypeError``
+        from the slice; both are client errors."""
+        world = scenarios.micro_economy(seed=3)
+        service = ForensicsService(world.index)
+        for args in ((n, "size"), (n, "size", 0)):
+            with pytest.raises(ValueError, match="count"):
+                service.answer(Query("top_clusters", args))
+        assert service.answer(Query("top_clusters", (0, "size"))) == ()
 
 
 class TestParsing:
@@ -306,6 +313,12 @@ class TestParsing:
         assert parse_query(["trace-taint", "Silk", "Road", "seizure"]) == Query(
             "trace_taint", ("Silk Road seizure",)
         )
+
+    def test_parse_rejects_bad_top_count(self):
+        with pytest.raises(ValueError, match="count"):
+            parse_query(["top-clusters", "-1"])
+        with pytest.raises(ValueError):
+            parse_query(["top-clusters", "2.5", "size"])
 
     def test_parse_errors(self):
         with pytest.raises(ValueError):

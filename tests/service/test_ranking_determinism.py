@@ -7,8 +7,9 @@ function of the partition, unlike raw union-find roots (whose identity
 depends on union order, and which the pre-differential ranking used as
 its tie-break — unstable across batch rebuilds vs incremental replay).
 These tests pin the order identical across every way a ranking can be
-produced: the differential view, the batch ``_agg`` rebuild, a repeat
-rebuild, and a snapshot-restored service.
+produced: the differential view, the batch oracle
+(``tests/batch_oracle.py``), a repeat oracle rebuild, and a
+snapshot-restored service.
 """
 
 import pytest
@@ -19,6 +20,7 @@ from repro.service import ForensicsService
 from repro.service.queries import TOP_CLUSTER_METRICS
 from repro.storage import StateStore
 
+from tests.batch_oracle import BatchOracle
 from tests.helpers import addr, build_chain, coinbase, spend
 
 
@@ -53,6 +55,10 @@ def _ranked_ids(service, by):
     ]
 
 
+def _oracle_ids(oracle, by):
+    return [cid for cid, _value in oracle.ranking(by).top(N_TIED)]
+
+
 def test_ties_rank_by_canonical_id_ascending(tied_world):
     service = ForensicsService(tied_world)
     interner = tied_world.interner
@@ -78,16 +84,16 @@ def test_ties_rank_by_canonical_id_ascending(tied_world):
 
 def test_order_identical_across_paths_and_restores(tied_world, tmp_path):
     differential = ForensicsService(tied_world)
-    batch = ForensicsService(tied_world, differential_aggregates=False)
-    rebuilt = ForensicsService(tied_world, differential_aggregates=False)
+    batch = BatchOracle.of(differential)
+    rebuilt = BatchOracle.of(ForensicsService(tied_world))
     store = StateStore(tmp_path / "snapshots")
     store.snapshot(differential)
     restored = store.restore()
     for by in TOP_CLUSTER_METRICS:
         orders = {
             "differential": _ranked_ids(differential, by),
-            "batch": _ranked_ids(batch, by),
-            "rebuilt": _ranked_ids(rebuilt, by),
+            "batch": _oracle_ids(batch, by),
+            "rebuilt": _oracle_ids(rebuilt, by),
             "restored": _ranked_ids(restored, by),
         }
         assert len(set(map(tuple, orders.values()))) == 1, (by, orders)
@@ -95,7 +101,7 @@ def test_order_identical_across_paths_and_restores(tied_world, tmp_path):
         assert differential.aggregates.ranking(
             by
         ) == restored.aggregates.ranking(by)
-        assert differential.aggregates.ranking(by) == batch.queries._ranking(by)
+        assert differential.aggregates.ranking(by) == batch.ranking(by)
 
 
 def test_order_stable_under_streaming_vs_catchup(tied_world):

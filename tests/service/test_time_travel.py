@@ -1,11 +1,10 @@
-"""Replayed horizons == batch rebuild, for every kind at every height.
+"""Replayed horizons == the batch oracle, for every kind at every height.
 
 The time-travel contract behind the per-height aggregate delta log:
 ``top_clusters`` / ``cluster_profile`` / ``cluster_balance`` /
-``cluster_of`` at any ``height <= tip`` must answer byte-equal whether
-they replay a sparse checkpoint forward (``time_travel=True``, the
-default) or fall back to the batch ``_agg@h`` rebuild
-(``time_travel=False``).  The hypothesis case randomizes the scenario,
+``cluster_of`` at any ``height <= tip``, served by replaying a sparse
+checkpoint forward, must answer byte-equal to the batch oracle's
+whole-partition rebuild as of that height (``tests/batch_oracle.py``).  The hypothesis case randomizes the scenario,
 so the sweep covers H1-only heights, open-overlay horizons (a §4.2
 window mid-flight at ``h``), voids, expiries, and base merges landing
 between checkpoints; the restore case pins the same equality after a
@@ -30,6 +29,7 @@ from repro.service.queries import TOP_CLUSTER_METRICS
 from repro.simulation import scenarios
 from repro.storage import StateStore
 
+from tests.batch_oracle import BatchOracle
 from tests.helpers import addr, build_chain, coinbase, spend
 
 
@@ -48,10 +48,11 @@ def historical_queries(index, height: int) -> list[Query]:
 
 
 def assert_replay_equals_batch(fast, base) -> None:
-    """Exhaustive sweep: both services answer every historical kind at
-    every height, and every answer pair is repr-equal (exact values,
-    exact ranking order, exact names — not merely shape-compatible)."""
-    assert fast.height == base.height
+    """Exhaustive sweep: the service and the oracle answer every
+    historical kind at every height, and every answer pair is
+    repr-equal (exact values, exact ranking order, exact names — not
+    merely shape-compatible)."""
+    assert fast.height == base.tip
     assert fast.aggregates.covers(0)
     for height in range(fast.height + 1):
         for query in historical_queries(fast.index, height):
@@ -73,22 +74,22 @@ class TestReplayedEqualsBatchAtEveryHeight:
             seed=seed, n_blocks=n_blocks, n_users=n_users
         )
         fast = ForensicsService.from_world(world)
-        base = ForensicsService.from_world(world, time_travel=False)
+        base = BatchOracle.of(ForensicsService.from_world(world))
         assert_replay_equals_batch(fast, base)
 
     def test_micro_world_with_tags(self, micro_world):
         """Naming in play: historical top-cluster rows and profiles
         carry as-of-height cluster names on both paths."""
         fast = ForensicsService.from_world(micro_world)
-        base = ForensicsService.from_world(micro_world, time_travel=False)
+        base = BatchOracle.of(ForensicsService.from_world(micro_world))
         assert_replay_equals_batch(fast, base)
 
 
 class TestReplayedEqualsBatchAfterRestore:
     def test_every_height_after_v4_round_trip(self, tmp_path):
         """Snapshot -> restore -> the restored replay path answers every
-        historical kind at every height equal to a batch service that
-        never restarted."""
+        historical kind at every height equal to the batch oracle over a
+        service that never restarted."""
         world = scenarios.micro_economy(seed=5, n_blocks=20, n_users=5)
         BlockFileWriter(tmp_path / "blocks").write_chain(world.blocks)
         store = StateStore(tmp_path / "snapshots")
@@ -102,7 +103,7 @@ class TestReplayedEqualsBatchAfterRestore:
         store.snapshot(fast)
 
         restored = store.restore(follow=False)
-        base = ForensicsService.from_world(world, time_travel=False)
+        base = BatchOracle.of(ForensicsService.from_world(world))
         assert_replay_equals_batch(restored, base)
 
 

@@ -20,6 +20,7 @@ from repro.service.views import ActivityView, BalanceView, TaintView
 from repro.simulation import scenarios
 from repro.simulation.params import FIGURE2_CATEGORIES
 
+from tests.batch_oracle import cluster_balances
 from tests.helpers import addr, build_chain, coinbase, spend
 
 
@@ -168,7 +169,7 @@ class TestViewMechanics:
         analyst = AnalystView.build(small_world)
         view = BalanceView(small_world.index)
         partition = analyst.clustering.uf
-        rollup = view.cluster_balances(partition)
+        rollup = cluster_balances(view, partition)
         components = partition.components()
         index = small_world.index
         for root, members in components.items():

@@ -1,17 +1,18 @@
 """Array-backed durable state: bytes round-trips and legacy shapes.
 
-The version-3 snapshot layout stores every dense per-id array as one
-raw little-endian int64 buffer.  Three contracts are pinned here:
+The snapshot layout stores every dense per-id array as one raw
+little-endian int64 buffer.  Three contracts are pinned here:
 
 * **byte-equal round trip** — ``export_state`` → ``from_state`` →
   ``export_state`` reproduces the original payload bit for bit, for
   every array-backed component (union-find, balance/activity views,
   cluster aggregates);
-* **legacy shapes restore** — the pre-columnar version-1/2 state dicts
-  (plain Python lists, no ``version`` key) are still accepted by every
-  ``from_state``, and restore to the same observable state;
-* **manifest gate** — version-2 manifests stay readable alongside the
-  current version 3; anything else fails closed.
+* **legacy shapes fail closed** — the pre-columnar state dicts (plain
+  Python lists, no ``version`` key) are refused by every ``from_state``
+  with a ``ValueError``, never half-restored;
+* **manifest gate** — only the current manifest version (4) reads;
+  versions 2 and 3, and anything unknown, fail closed with a hint to
+  rebuild cold.
 """
 
 import json
@@ -75,17 +76,20 @@ class TestByteEqualRoundTrip:
         index, engine, _balances, _activity, aggregates = streamed
         state = aggregates.export_state()
         assert isinstance(state["balance"], bytes)
+        timetravel = aggregates.export_time_travel()
         restored = ClusterAggregateView.from_state(
-            index, state, engine=engine, follow=False
+            index, state, timetravel, engine=engine, follow=False
         )
         assert restored.export_state() == state
+        assert restored.export_time_travel() == timetravel
         for metric in TOP_CLUSTER_METRICS:
             assert restored.ranking(metric) == aggregates.ranking(metric)
 
 
 class TestLegacyShapesRestore:
-    """Version-1/2 snapshots carried Python lists; they must restore to
-    the same observable state the bytes shape does."""
+    """Version-1 snapshots carried Python lists.  Nobody holds them and
+    the chain re-derives every state, so each ``from_state`` refuses
+    the list shape outright instead of restoring it."""
 
     def test_union_find_list_state(self, streamed):
         _index, engine, *_ = streamed
@@ -96,14 +100,23 @@ class TestLegacyShapesRestore:
             "components": uf.component_count,
             "log": [list(entry) for entry in uf.log_prefix(uf.checkpoint())],
         }
-        restored = IntUnionFind.from_state(legacy)
-        assert restored.component_sizes() == uf.component_sizes()
-        assert restored.export_state() == uf.export_state()
+        with pytest.raises(ValueError, match="rebuild cold"):
+            IntUnionFind.from_state(legacy)
 
     def test_union_find_rejects_misaligned_lists(self):
         with pytest.raises(ValueError):
             IntUnionFind.from_state(
                 {"parent": [0, 1], "size": [1], "components": 2, "log": []}
+            )
+        # The bytes shape keeps its own alignment check.
+        with pytest.raises(ValueError, match="misaligned"):
+            IntUnionFind.from_state(
+                {
+                    "parent": bytes(16),
+                    "size": bytes(8),
+                    "components": 2,
+                    "log": b"",
+                }
             )
 
     def test_balance_view_v1_state(self, streamed):
@@ -121,8 +134,8 @@ class TestLegacyShapesRestore:
                 balances.supply_at(h) for h in range(balances.height + 1)
             ],
         }
-        restored = BalanceView.from_state(index, v1, follow=False)
-        assert restored.export_state() == balances.export_state()
+        with pytest.raises(ValueError, match="rebuild cold"):
+            BalanceView.from_state(index, v1, follow=False)
 
     def test_activity_view_v1_state(self, streamed):
         index, _engine, _balances, activity, _aggregates = streamed
@@ -132,38 +145,30 @@ class TestLegacyShapesRestore:
             "first_seen": activity._first_seen.tolist(),
             "last_seen": activity._last_seen.tolist(),
         }
-        restored = ActivityView.from_state(index, v1, follow=False)
-        assert restored.export_state() == activity.export_state()
+        with pytest.raises(ValueError, match="rebuild cold"):
+            ActivityView.from_state(index, v1, follow=False)
 
     def test_aggregate_view_v1_state(self, streamed):
         index, engine, _balances, _activity, aggregates = streamed
-        uf = aggregates._uf
         v1 = {
             "height": aggregates.height,
-            "uf": {
-                "parent": [uf._parent[i] for i in range(len(uf))],
-                "size": [uf._size[i] for i in range(len(uf))],
-                "components": uf.component_count,
-                "log": [
-                    list(entry) for entry in uf.log_prefix(uf.checkpoint())
-                ],
-            },
             "balance": aggregates._balance.tolist(),
             "tx_count": aggregates._tx_count.tolist(),
             "first_seen": aggregates._first.tolist(),
             "last_seen": aggregates._last.tolist(),
             "min_member": aggregates._min_member.tolist(),
         }
-        restored = ClusterAggregateView.from_state(
-            index, v1, engine=engine, follow=False
-        )
-        assert restored.export_state() == aggregates.export_state()
+        with pytest.raises(ValueError, match="rebuild cold"):
+            ClusterAggregateView.from_state(
+                index, v1, aggregates.export_time_travel(), engine=engine,
+                follow=False,
+            )
 
 
 class TestManifestVersionGate:
-    def test_current_and_previous_versions_supported(self):
+    def test_only_current_version_supported(self):
         assert MANIFEST_VERSION == 4
-        assert SUPPORTED_VERSIONS == {2, 3, 4}
+        assert SUPPORTED_VERSIONS == {4}
 
     def _snapshot_dir(self, tmp_path):
         from repro.service import ForensicsService
@@ -182,10 +187,24 @@ class TestManifestVersionGate:
         raw["format_version"] = version
         path.write_text(json.dumps(raw))
 
-    def test_version_2_manifest_still_reads(self, tmp_path):
+    def test_version_2_and_3_manifests_fail_closed(self, tmp_path):
+        """Pre-v4 snapshots carry no time-travel log; they are refused
+        (the store skips them, a restore finds none) with the version
+        named and a hint to rebuild cold."""
+        from repro.storage import NoSnapshotError, StateStore
+
         directory = self._snapshot_dir(tmp_path)
-        self._rewrite_version(directory, 2)
-        assert read_manifest(directory).format_version == 2
+        store = StateStore(tmp_path / "snapshots")
+        for version in (2, 3):
+            self._rewrite_version(directory, version)
+            with pytest.raises(
+                SnapshotIntegrityError,
+                match=f"unsupported format version {version}.*rebuild cold",
+            ):
+                read_manifest(directory)
+            assert store.snapshots() == []
+            with pytest.raises(NoSnapshotError):
+                store.restore()
 
     def test_unknown_version_fails_closed(self, tmp_path):
         directory = self._snapshot_dir(tmp_path)

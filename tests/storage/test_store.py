@@ -10,7 +10,6 @@ from repro.service import ForensicsService
 from repro.simulation import scenarios
 from repro.storage import (
     COMPONENTS,
-    OPTIONAL_COMPONENTS,
     NoSnapshotError,
     SnapshotIntegrityError,
     SnapshotPolicy,
@@ -44,7 +43,7 @@ class TestSnapshotCapture:
         path = store.snapshot(served)
         manifest = read_manifest(path)
         assert manifest.height == served.height
-        assert set(manifest.segments) == set(COMPONENTS + OPTIONAL_COMPONENTS)
+        assert set(manifest.segments) == set(COMPONENTS)
         for record in manifest.segments.values():
             assert (path / record["file"]).stat().st_size == record["bytes"]
         assert manifest.chain["tx_count"] == served.index.tx_count
